@@ -1,8 +1,12 @@
 """Command-line driver and plain-text run configuration.
 
 Configs are INI files with one section per concern; every physical value
-is in the cgs-ms-K unit system used throughout the package.  Unknown keys
-are rejected.  Example (thermal cycling of a pinned bar):
+is in the cgs-ms-K unit system used throughout the package.  The per-model
+key table `_SCHEMA`, derived from the fields of the config dataclasses, is
+the single source of section and key names: reading, writing, defaults,
+required keys and the unknown-key and unknown-section errors all follow
+from it, and `_KINDS` beside it lists the accepted values of every kind
+key.  Example (thermal cycling of a pinned bar):
 
     [model]
     kind = full_1d
@@ -52,14 +56,15 @@ import io
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import reduce
 
 import numpy as np
 
 from . import solver1d
 from .constitutive import MaterialParams1D, cu_based
 from .manufactured import build_mms_case
-from .slab import (SlabParams, SlabRunSetup, SlabState, cu_based_slab,
+from .slab import (ENDS, SlabParams, SlabRunSetup, SlabState, cu_based_slab,
                    reconstruct_fields, slab_simulate)
 from .solver1d import (BoundarySpec, FieldState, Forcing, Grid1D,
                        IntegrationError, RunSetup, compute_stress, simulate)
@@ -80,7 +85,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class ForcingSpec:
-    body_kind: str = "none"        # none | const | sin_cubed | mms
+    body_kind: str = "none"
     body_value: float = 0.0
     body_amplitude: float = 0.0
     body_rate: float = 0.0
@@ -92,18 +97,18 @@ class ForcingSpec:
 
 @dataclass
 class InitialSpec:
-    u_kind: str = "zero"           # zero | piecewise_linear | sine | mms
+    u_kind: str = "zero"
     u_breakpoints: tuple = ()      # ((x, u), ...)
     u_amplitude: float = 0.0
     u_mode: int = 1
-    v_kind: str = "zero"           # zero | sine | mms
+    v_kind: str = "zero"
     v_amplitude: float = 0.0
     v_mode: int = 1
-    theta_kind: str = "const"      # const | cosine | mms
+    theta_kind: str = "const"
     theta_value: float = 300.0
     theta_amplitude: float = 0.0
     theta_mode: int = 1
-    theta_dot_kind: str = "consistent"   # consistent | zero (tau0 > 0 only)
+    theta_dot_kind: str = "consistent"   # used only when tau0 > 0
 
 
 @dataclass
@@ -117,7 +122,7 @@ class MmsSpec:
 
 @dataclass
 class SlabFieldInit:
-    kind: str = "uniform"          # uniform | sine
+    kind: str = "uniform"
     value: float = 0.0
     amplitude: float = 0.0
     mode: int = 1
@@ -130,6 +135,86 @@ class SlabInitialSpec:
     v1: SlabFieldInit = field(default_factory=SlabFieldInit)
     v2: SlabFieldInit = field(default_factory=SlabFieldInit)
     theta_prime: SlabFieldInit = field(default_factory=SlabFieldInit)
+
+
+# ---------------------------------------------------------------------------
+# INI schema: one row (section, key, SimConfig attribute path) per key
+
+
+def _rows(section, cls, prefix, key=lambda name: name):
+    return [(section, key(f.name), prefix + (f.name,)) for f in fields(cls)]
+
+
+def _without_kind(name):
+    return name.removesuffix("_kind")
+
+
+_COMMON = [("model", "kind", ("model",)),
+           ("grid", "length", ("length",)), ("grid", "nx", ("nx",)),
+           ("time", "dt", ("dt",)), ("time", "t_end", ("t_end",)),
+           ("time", "output_interval", ("output_interval",)),
+           ("integrator", "kind", ("integrator",))]
+
+_SCHEMA = {
+    "full_1d": _COMMON
+    + _rows("material", MaterialParams1D, ("material",))
+    + [("material", "gamma_negate", ("gamma_negate",))]
+    + _rows("bcs", BoundarySpec, ("bcs",))
+    + _rows("forcing", ForcingSpec, ("forcing",), _without_kind)
+    + _rows("initial", InitialSpec, ("initial",), _without_kind)
+    + _rows("mms", MmsSpec, ("mms",))
+    + [("phases", "austenite_band", ("austenite_band",)),
+       ("phases", "martensite_band", ("martensite_band",))],
+    "slab": _COMMON
+    + _rows("slab", SlabParams, ("slab_material",))
+    + [("bcs", "ends", ("ends",))]
+    + [("slab_initial", name if f.name == "kind" else f"{name}_{f.name}",
+        ("slab_initial", name, f.name))
+       for name in (g.name for g in fields(SlabInitialSpec))
+       for f in fields(SlabFieldInit)]
+    + [("output", "reconstruct_y", ("reconstruct_y",))],
+}
+
+_REQUIRED = (("model", "kind"), ("grid", "length"), ("grid", "nx"),
+             ("time", "dt"), ("time", "t_end"), ("time", "output_interval"))
+
+_FORCING_KINDS = ("none", "const", "sin_cubed", "mms")
+
+# Accepted values of every kind key, by model and attribute path.  The
+# [bcs] mech and thermal kinds are checked by BoundarySpec itself.
+_KINDS = {
+    "full_1d": {
+        ("integrator",): solver1d.INTEGRATORS,
+        ("forcing", "body_kind"): _FORCING_KINDS,
+        ("forcing", "heat_kind"): _FORCING_KINDS,
+        ("initial", "u_kind"): ("zero", "piecewise_linear", "sine", "mms"),
+        ("initial", "v_kind"): ("zero", "sine", "mms"),
+        ("initial", "theta_kind"): ("const", "cosine", "mms"),
+        ("initial", "theta_dot_kind"): ("consistent", "zero"),
+    },
+    "slab": {
+        ("integrator",): ("rk4",),
+        ("ends",): ENDS,
+        **{("slab_initial", f.name, "kind"): ("uniform", "sine")
+           for f in fields(SlabInitialSpec)},
+    },
+}
+
+_BREAKPOINTS = ("initial", "u_breakpoints")
+
+
+def _schema(model):
+    if model not in _SCHEMA:
+        raise ConfigError(f"[model] kind must be one of {', '.join(_SCHEMA)}")
+    return _SCHEMA[model]
+
+
+def _lookup(obj, path):
+    return reduce(getattr, path, obj)
+
+
+# ---------------------------------------------------------------------------
+# run configuration
 
 
 @dataclass
@@ -156,9 +241,20 @@ class SimConfig:
     martensite_band: float = 0.08          # |eps| above: well-developed variant
     reconstruct_y: tuple = ()              # slab cross-section sample points
 
+    @property
+    def needs_mms(self) -> bool:
+        """True when any forcing or initial field is the manufactured one."""
+        return "mms" in (self.forcing.body_kind, self.forcing.heat_kind,
+                         self.initial.u_kind, self.initial.v_kind,
+                         self.initial.theta_kind)
+
     def validate(self):
-        if self.model not in ("full_1d", "slab"):
-            raise ConfigError("[model] kind must be full_1d or slab")
+        for section, key, path in _schema(self.model):
+            allowed = _KINDS[self.model].get(path)
+            if allowed and _lookup(self, path) not in allowed:
+                raise ConfigError(
+                    f"[{section}] {key} = {_lookup(self, path)!r}: the "
+                    f"{self.model} model accepts {', '.join(allowed)}")
         if self.dt <= 0:
             raise ConfigError("[time] dt must be positive")
         if self.t_end <= 0:
@@ -169,18 +265,25 @@ class SimConfig:
             raise ConfigError("[grid] nx must be at least 4")
         if self.length <= 0:
             raise ConfigError("[grid] length must be positive")
-        if self.integrator not in solver1d.INTEGRATORS:
-            raise ConfigError(
-                f"[integrator] kind must be one of {solver1d.INTEGRATORS}")
         if self.austenite_band <= 0 or self.martensite_band < self.austenite_band:
             raise ConfigError("[phases] bands must satisfy 0 < austenite_band "
                               "<= martensite_band")
-        needs_mms = (self.forcing.body_kind == "mms"
-                     or self.forcing.heat_kind == "mms"
-                     or "mms" in (self.initial.u_kind, self.initial.v_kind,
-                                  self.initial.theta_kind))
-        if needs_mms and self.model != "full_1d":
-            raise ConfigError("mms forcing applies to the full_1d model only")
+        if (self.initial.u_kind == "piecewise_linear"
+                and len(self.initial.u_breakpoints) < 2):
+            raise ConfigError("[initial] u_breakpoints needs at least "
+                              "two x:value pairs")
+        if self.model == "slab":
+            if self.needs_mms:
+                raise ConfigError("mms forcing applies to the full_1d model only")
+            dx, min_dx = self.length / self.nx, self.slab_material.min_dx
+            if dx <= min_dx:
+                raise ConfigError(
+                    f"[grid] dx = length/nx = {dx:.6g} cm must exceed the "
+                    f"slab's long-wave bound pi b sqrt(c_disp/c_wave) = "
+                    f"{min_dx:.6g} cm")
+            if not all(-1.0 <= y <= 1.0 for y in self.reconstruct_y):
+                raise ConfigError("[output] reconstruct_y values must lie "
+                                  "in [-1, 1]")
         return self
 
     # -- resolution to runnable setups --------------------------------------
@@ -200,9 +303,7 @@ class SimConfig:
             if kind == "sin_cubed":
                 return lambda x, t: np.full_like(x, amplitude
                                                  * math.sin(rate * t) ** 3)
-            if kind == "mms":
-                return mms_fn
-            raise ConfigError(f"unknown forcing kind {kind!r}")
+            return mms_fn
 
         fs = self.forcing
         return Forcing(
@@ -217,60 +318,47 @@ class SimConfig:
         if ini.u_kind == "zero":
             u = np.zeros_like(x)
         elif ini.u_kind == "piecewise_linear":
-            if len(ini.u_breakpoints) < 2:
-                raise ConfigError("[initial] u_breakpoints needs at least "
-                                  "two x:value pairs")
             xp = [p[0] for p in ini.u_breakpoints]
             up = [p[1] for p in ini.u_breakpoints]
             u = np.interp(x, xp, up)
         elif ini.u_kind == "sine":
             u = ini.u_amplitude * np.sin(ini.u_mode * np.pi * x / grid.length)
-        elif ini.u_kind == "mms":
-            u = case.u(x, 0.0)
         else:
-            raise ConfigError(f"unknown initial u kind {ini.u_kind!r}")
+            u = case.u(x, 0.0)
 
         if ini.v_kind == "zero":
             v = np.zeros_like(x)
         elif ini.v_kind == "sine":
             v = ini.v_amplitude * np.sin(ini.v_mode * np.pi * x / grid.length)
-        elif ini.v_kind == "mms":
-            v = case.v(x, 0.0)
         else:
-            raise ConfigError(f"unknown initial v kind {ini.v_kind!r}")
+            v = case.v(x, 0.0)
 
         if ini.theta_kind == "const":
             theta = np.full_like(x, ini.theta_value)
         elif ini.theta_kind == "cosine":
             theta = ini.theta_value + ini.theta_amplitude * np.cos(
                 ini.theta_mode * np.pi * x / grid.length)
-        elif ini.theta_kind == "mms":
-            theta = case.theta(x, 0.0)
         else:
-            raise ConfigError(f"unknown initial theta kind {ini.theta_kind!r}")
+            theta = case.theta(x, 0.0)
 
         theta_dot = None
         if self.material.tau0 > 0:
             if ini.theta_dot_kind == "zero":
                 theta_dot = np.zeros_like(x)
-            elif ini.theta_dot_kind == "consistent":
+            else:
                 # slave value from the tau0 = 0 energy equation at t = 0
                 p0 = self.material.with_(tau0=0.0)
                 st0 = FieldState(0.0, u, v, theta)
                 forcing = self._forcing(case)
                 deriv = solver1d.rhs(st0, grid, p0, self.bcs, forcing, 0.0)
                 theta_dot = deriv.theta
-            else:
-                raise ConfigError("theta_dot kind must be consistent or zero")
         return FieldState(0.0, u, v, theta, theta_dot)
 
     def _slab_field(self, spec: SlabFieldInit, x, length) -> np.ndarray:
         if spec.kind == "uniform":
             return np.full_like(x, spec.value)
-        if spec.kind == "sine":
-            return spec.value + spec.amplitude * np.sin(
-                2.0 * np.pi * spec.mode * x / length)
-        raise ConfigError(f"unknown slab field kind {spec.kind!r}")
+        return spec.value + spec.amplitude * np.sin(
+            2.0 * np.pi * spec.mode * x / length)
 
     def resolve(self):
         """Build the runnable setup (RunSetup or SlabRunSetup)."""
@@ -290,318 +378,153 @@ class SimConfig:
                                 state0, self.dt, self.t_end,
                                 self.output_interval, self.ends)
         grid = Grid1D(self.length, self.nx)
-        needs_mms = (self.forcing.body_kind == "mms"
-                     or self.forcing.heat_kind == "mms"
-                     or "mms" in (self.initial.u_kind, self.initial.v_kind,
-                                  self.initial.theta_kind))
-        case = self._mms_case() if needs_mms else None
+        case = self._mms_case() if self.needs_mms else None
         return RunSetup(grid, self.material, self.bcs, self._forcing(case),
                         self._initial_state(grid, case), self.dt, self.t_end,
                         self.output_interval, self.integrator,
                         -1.0 if self.gamma_negate else 1.0)
 
 
+_DEFAULTS = SimConfig()
+
+
 # ---------------------------------------------------------------------------
-# INI serialisation
+# INI serialisation, driven by _SCHEMA; the codec of each key follows the
+# type of its default value
 
 
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+def _format(path, value) -> str:
+    default = _lookup(_DEFAULTS, path)
+    if path == _BREAKPOINTS:
+        return ", ".join(f"{float(x)!r}:{float(u)!r}" for x, u in value)
+    if isinstance(default, bool):
+        return "true" if value else "false"
+    if isinstance(default, tuple):
+        return ", ".join(repr(float(v)) for v in value)
+    if isinstance(default, float):
+        return repr(float(value))
+    return str(value)
 
 
-def _fmt_breakpoints(bps) -> str:
-    return ", ".join(f"{repr(float(x))}:{repr(float(u))}" for x, u in bps)
-
-
-def _parse_breakpoints(text: str) -> tuple:
-    pairs = []
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        try:
-            xs, us = item.split(":")
-            pairs.append((float(xs), float(us)))
-        except ValueError as exc:
-            raise ConfigError(f"[initial] bad breakpoint entry {item!r}") from exc
-    return tuple(pairs)
-
-
-_MATERIAL_KEYS = ("rho", "cv", "k0", "beta_tilde", "theta1", "k1", "k2",
-                  "k3", "mu", "nu", "tau0", "gamma", "alpha0")
-_SLAB_SIMPLE_KEYS = ("b", "rho", "cv", "kappa", "c_wave", "c_disp", "c_bend",
-                     "s_quintic", "s_rate4", "s_rate2_cubic", "h_quintic",
-                     "h_mixed33", "h_rate5", "h_curv_long", "h_curv_bend",
-                     "h_flux2", "r_quad", "r_cubic", "r_rate", "t_mix",
-                     "t_rate", "theta_ref")
+def _parse(path, raw: str):
+    default = _lookup(_DEFAULTS, path)
+    items = [item.strip() for item in raw.split(",") if item.strip()]
+    if path == _BREAKPOINTS:
+        pairs = [item.split(":") for item in items]
+        if any(len(pair) != 2 for pair in pairs):
+            raise ValueError("breakpoints are x:value pairs")
+        return tuple((float(x), float(u)) for x, u in pairs)
+    if isinstance(default, bool):
+        if raw.lower() not in ("true", "false"):
+            raise ValueError("expected true or false")
+        return raw.lower() == "true"
+    if isinstance(default, tuple):
+        values = tuple(float(v) for v in items)
+        if default and len(values) != len(default):
+            raise ValueError(f"expected {len(default)} comma-separated values")
+        return values
+    return type(default)(raw)
 
 
 def write_config(config: SimConfig) -> str:
-    """Serialise to the INI schema (inverse of load_config)."""
-    cp = configparser.ConfigParser()
-    cp["model"] = {"kind": config.model}
-    cp["grid"] = {"length": _fmt(config.length), "nx": str(config.nx)}
-    cp["time"] = {"dt": _fmt(config.dt), "t_end": _fmt(config.t_end),
-                  "output_interval": _fmt(config.output_interval)}
-    cp["integrator"] = {"kind": config.integrator}
-    if config.model == "full_1d":
-        m = config.material
-        cp["material"] = {k: _fmt(getattr(m, k)) for k in _MATERIAL_KEYS}
-        cp["material"]["gamma_negate"] = _fmt(config.gamma_negate)
-        if callable(config.bcs.theta_ambient):
-            raise ConfigError("callable theta_ambient cannot be serialised")
-        cp["bcs"] = {"mech": config.bcs.mech, "thermal": config.bcs.thermal,
-                     "beta": _fmt(config.bcs.beta),
-                     "theta_ambient": _fmt(float(config.bcs.theta_ambient)),
-                     "fixed_value": _fmt(config.bcs.fixed_value)}
-        fs = config.forcing
-        cp["forcing"] = {
-            "body": fs.body_kind, "body_value": _fmt(fs.body_value),
-            "body_amplitude": _fmt(fs.body_amplitude),
-            "body_rate": _fmt(fs.body_rate),
-            "heat": fs.heat_kind, "heat_value": _fmt(fs.heat_value),
-            "heat_amplitude": _fmt(fs.heat_amplitude),
-            "heat_rate": _fmt(fs.heat_rate)}
-        ini = config.initial
-        cp["initial"] = {
-            "u": ini.u_kind,
-            "u_breakpoints": _fmt_breakpoints(ini.u_breakpoints),
-            "u_amplitude": _fmt(ini.u_amplitude), "u_mode": str(ini.u_mode),
-            "v": ini.v_kind, "v_amplitude": _fmt(ini.v_amplitude),
-            "v_mode": str(ini.v_mode),
-            "theta": ini.theta_kind, "theta_value": _fmt(ini.theta_value),
-            "theta_amplitude": _fmt(ini.theta_amplitude),
-            "theta_mode": str(ini.theta_mode),
-            "theta_dot": ini.theta_dot_kind}
-        cp["mms"] = {"u_amplitude": _fmt(config.mms.u_amplitude),
-                     "omega_u": _fmt(config.mms.omega_u),
-                     "theta_bar": _fmt(config.mms.theta_bar),
-                     "theta_amplitude": _fmt(config.mms.theta_amplitude),
-                     "omega_t": _fmt(config.mms.omega_t)}
-        cp["phases"] = {"austenite_band": _fmt(config.austenite_band),
-                        "martensite_band": _fmt(config.martensite_band)}
-    else:
-        sm = config.slab_material
-        sec = {k: _fmt(getattr(sm, k)) for k in _SLAB_SIMPLE_KEYS}
-        for name in ("s_theta", "s_cubic", "s_rate2", "h_cubic", "h_rate3",
-                     "r_shear"):
-            sec[name] = ", ".join(repr(float(v)) for v in getattr(sm, name))
-        sec["h_lin"] = ", ".join(repr(float(v)) for v in sm.h_lin)
-        cp["slab"] = sec
-        cp["bcs"] = {"ends": config.ends}
-        si = config.slab_initial
-        sec = {}
-        for name in ("u1", "u2", "v1", "v2", "theta_prime"):
-            fi = getattr(si, name)
-            sec[name] = fi.kind
-            sec[f"{name}_value"] = _fmt(fi.value)
-            sec[f"{name}_amplitude"] = _fmt(fi.amplitude)
-            sec[f"{name}_mode"] = str(fi.mode)
-        cp["slab_initial"] = sec
-        if config.reconstruct_y:
-            cp["output"] = {"reconstruct_y":
-                            ", ".join(repr(float(y)) for y in config.reconstruct_y)}
+    """Serialise the sections of config.model (inverse of load_config)."""
+    sections = {}
+    for section, key, path in _schema(config.model):
+        value = _lookup(config, path)
+        try:
+            text = _format(path, value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"[{section}] {key}: cannot serialise {value!r}") from exc
+        sections.setdefault(section, {})[key] = text
+    # a section with nothing to say (a slab run without reconstruct_y) is
+    # left out; reading it back gives the same defaults
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_dict({name: keys for name, keys in sections.items()
+                  if any(keys.values())})
     out = io.StringIO()
     cp.write(out)
     return out.getvalue()
 
 
-class _SectionReader:
-    """Tracks consumed keys so unknown ones can be reported by name."""
-
-    def __init__(self, cp: configparser.ConfigParser, name: str):
-        self.name = name
-        self.items = dict(cp[name]) if cp.has_section(name) else {}
-        self.seen = set()
-
-    def get(self, key, default=None, cast=str):
-        if key in self.items:
-            self.seen.add(key)
-            raw = self.items[key]
-            try:
-                if cast is bool:
-                    if raw.lower() not in ("true", "false"):
-                        raise ValueError(raw)
-                    return raw.lower() == "true"
-                return cast(raw)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(
-                    f"[{self.name}] {key}: cannot parse {raw!r}") from exc
-        return default
-
-    def finish(self):
-        unknown = set(self.items) - self.seen
-        if unknown:
-            raise ConfigError(
-                f"[{self.name}] unknown keys: {', '.join(sorted(unknown))}")
-
-
-def _read_config_text(text: str) -> SimConfig:
-    cp = configparser.ConfigParser()
+def _read_config_text(text: str, overrides=()) -> SimConfig:
+    """Parse INI text, apply `section.key=value` overrides, and validate."""
+    if not text.strip():
+        raise ConfigError("empty config; required keys: " + ", ".join(
+            f"[{section}] {key}" for section, key in _REQUIRED))
+    cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
+    for item in overrides:
+        try:
+            key, value = item.split("=", 1)
+            section, option = key.strip().split(".", 1)
+        except ValueError:
+            raise ConfigError(f"override must look like section.key=value, "
+                              f"got {item!r}") from None
+        try:
+            if not cp.has_section(section):
+                cp.add_section(section)
+            cp.set(section, option.strip(), value.strip())
+        except ValueError as exc:
+            raise ConfigError(f"override {item!r}: {exc}") from exc
 
-    required = ("model", "grid", "time")
-    missing = [s for s in required if not cp.has_section(s)]
+    missing = [f"[{section}] {key}" for section, key in _REQUIRED
+               if not cp.has_option(section, key)]
     if missing:
-        raise ConfigError(
-            "missing required sections: " + ", ".join(missing)
-            + " (required keys: [model] kind; [grid] length, nx; "
-              "[time] dt, t_end, output_interval)")
+        raise ConfigError("missing required keys: " + ", ".join(missing))
+    model = cp.get("model", "kind")
+    schema = _schema(model)
+    unknown = set(cp.sections()) - {section for section, _, _ in schema}
+    if unknown:
+        raise ConfigError("unknown sections: " + ", ".join(sorted(unknown)))
+    for name in cp.sections():
+        unknown = set(cp[name]) - {key for section, key, _ in schema
+                                   if section == name}
+        if unknown:
+            raise ConfigError(
+                f"[{name}] unknown keys: {', '.join(sorted(unknown))}")
 
-    sec = _SectionReader(cp, "model")
-    model = sec.get("kind", "full_1d")
-    sec.finish()
-
-    sec = _SectionReader(cp, "grid")
-    length = sec.get("length", None, float)
-    nx = sec.get("nx", None, int)
-    sec.finish()
-    if length is None or nx is None:
-        raise ConfigError("[grid] must provide length and nx")
-
-    sec = _SectionReader(cp, "time")
-    dt = sec.get("dt", None, float)
-    t_end = sec.get("t_end", None, float)
-    out_int = sec.get("output_interval", None, float)
-    sec.finish()
-    if dt is None or t_end is None or out_int is None:
-        raise ConfigError("[time] must provide dt, t_end and output_interval")
-
-    sec = _SectionReader(cp, "integrator")
-    integrator = sec.get("kind", "rk4")
-    sec.finish()
-
-    config = SimConfig(model=model, length=length, nx=nx, dt=dt, t_end=t_end,
-                       output_interval=out_int, integrator=integrator)
-
-    known = {"model", "grid", "time", "integrator"}
-    if model == "full_1d":
-        known |= {"material", "bcs", "forcing", "initial", "mms", "phases"}
-        sec = _SectionReader(cp, "material")
-        kw = {}
-        for key in _MATERIAL_KEYS:
-            val = sec.get(key, None, float)
-            if val is not None:
-                kw[key] = val
-        gamma_negate = sec.get("gamma_negate", False, bool)
-        sec.finish()
+    updates = {}
+    for section, key, path in schema:
+        if cp.has_option(section, key):
+            raw = cp.get(section, key)
+            try:
+                updates.setdefault(section, {})[path] = _parse(path, raw)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+    config = SimConfig()
+    for section, values in updates.items():
         try:
-            material = cu_based().with_(**kw)
+            config = _with(config, values)
         except ValueError as exc:
-            raise ConfigError(f"[material] {exc}") from exc
-        sec = _SectionReader(cp, "bcs")
-        try:
-            bcs = BoundarySpec(sec.get("mech", "pinned"),
-                               sec.get("thermal", "insulated"),
-                               sec.get("beta", 0.0, float),
-                               sec.get("theta_ambient", 0.0, float),
-                               sec.get("fixed_value", 300.0, float))
-        except ValueError as exc:
-            raise ConfigError(f"[bcs] {exc}") from exc
-        sec.finish()
-        sec = _SectionReader(cp, "forcing")
-        forcing = ForcingSpec(
-            sec.get("body", "none"), sec.get("body_value", 0.0, float),
-            sec.get("body_amplitude", 0.0, float),
-            sec.get("body_rate", 0.0, float),
-            sec.get("heat", "none"), sec.get("heat_value", 0.0, float),
-            sec.get("heat_amplitude", 0.0, float),
-            sec.get("heat_rate", 0.0, float))
-        sec.finish()
-        sec = _SectionReader(cp, "initial")
-        initial = InitialSpec(
-            sec.get("u", "zero"),
-            _parse_breakpoints(sec.get("u_breakpoints", "", str)),
-            sec.get("u_amplitude", 0.0, float), sec.get("u_mode", 1, int),
-            sec.get("v", "zero"), sec.get("v_amplitude", 0.0, float),
-            sec.get("v_mode", 1, int),
-            sec.get("theta", "const"), sec.get("theta_value", 300.0, float),
-            sec.get("theta_amplitude", 0.0, float),
-            sec.get("theta_mode", 1, int),
-            sec.get("theta_dot", "consistent"))
-        sec.finish()
-        sec = _SectionReader(cp, "mms")
-        mms = MmsSpec(sec.get("u_amplitude", 0.005, float),
-                      sec.get("omega_u", 3.0, float),
-                      sec.get("theta_bar", 300.0, float),
-                      sec.get("theta_amplitude", 5.0, float),
-                      sec.get("omega_t", 2.0, float))
-        sec.finish()
-        sec = _SectionReader(cp, "phases")
-        aust = sec.get("austenite_band", 0.02, float)
-        mart = sec.get("martensite_band", 0.08, float)
-        sec.finish()
-        config = replace(config, material=material, gamma_negate=gamma_negate,
-                         bcs=bcs, forcing=forcing, initial=initial, mms=mms,
-                         austenite_band=aust, martensite_band=mart)
-    else:
-        known |= {"slab", "bcs", "slab_initial", "output"}
-        sec = _SectionReader(cp, "slab")
-        kw = {}
-        for key in _SLAB_SIMPLE_KEYS:
-            val = sec.get(key, None, float)
-            if val is not None:
-                kw[key] = val
-        for name, size in (("s_theta", 2), ("s_cubic", 2), ("s_rate2", 2),
-                           ("h_cubic", 2), ("h_rate3", 2), ("r_shear", 2),
-                           ("h_lin", 3)):
-            raw = sec.get(name, None, str)
-            if raw is not None:
-                vals = tuple(float(v) for v in raw.split(","))
-                if len(vals) != size:
-                    raise ConfigError(f"[slab] {name} needs {size} values")
-                kw[name] = vals
-        sec.finish()
-        try:
-            slab_material = replace(cu_based_slab(), **kw)
-        except ValueError as exc:
-            raise ConfigError(f"[slab] {exc}") from exc
-        sec = _SectionReader(cp, "bcs")
-        ends = sec.get("ends", "periodic")
-        sec.finish()
-        sec = _SectionReader(cp, "slab_initial")
-        fields = {}
-        for name in ("u1", "u2", "v1", "v2", "theta_prime"):
-            fields[name] = SlabFieldInit(
-                sec.get(name, "uniform"),
-                sec.get(f"{name}_value", 0.0, float),
-                sec.get(f"{name}_amplitude", 0.0, float),
-                sec.get(f"{name}_mode", 1, int))
-        sec.finish()
-        sec = _SectionReader(cp, "output")
-        raw = sec.get("reconstruct_y", "", str)
-        recon = tuple(float(v) for v in raw.split(",") if v.strip()) if raw else ()
-        sec.finish()
-        config = replace(config, slab_material=slab_material, ends=ends,
-                         slab_initial=SlabInitialSpec(**fields),
-                         reconstruct_y=recon)
-
-    unknown_sections = set(cp.sections()) - known
-    if unknown_sections:
-        raise ConfigError("unknown sections: "
-                          + ", ".join(sorted(unknown_sections)))
+            raise ConfigError(f"[{section}] {exc}") from exc
     return config.validate()
+
+
+def _with(obj, values: dict):
+    """Copy of dataclass obj with the attributes at the paths in values set."""
+    nested = {}
+    for path, value in values.items():
+        nested.setdefault(path[0], {})[path[1:]] = value
+    return replace(obj, **{
+        name: sub[()] if () in sub else _with(getattr(obj, name), sub)
+        for name, sub in nested.items()})
+
+
+def _read_file(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
 
 
 def load_config(path: str) -> SimConfig:
     """Read and validate an INI config file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    if not text.strip():
-        raise ConfigError(
-            "empty config; required sections/keys: [model] kind; "
-            "[grid] length, nx; [time] dt, t_end, output_interval")
-    return _read_config_text(text)
+    return _read_config_text(_read_file(path))
 
 
 # ---------------------------------------------------------------------------
@@ -733,6 +656,10 @@ def _write_1d_artifacts(out_dir, config, setup, traj):
     lines.append("final_labels=" + "".join(
         {"A": "a", "M+": "+", "M-": "-"}[l] for l in
         classify_strain(node_strains[-1], config.austenite_band)))
+    _write_summary(out_dir, lines, traj)
+
+
+def _write_summary(out_dir, lines, traj):
     if traj.failed:
         lines.append(f"FAILED {traj.failure}")
     with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8",
@@ -765,9 +692,7 @@ def _write_slab_artifacts(out_dir, config, setup, traj):
                     "t,x,Y,u1,u2,theta", rows)
     lines = [f"t={d[0]:.6g} max_abs_U1x={d[1]:.6g} max_abs_U2x={d[2]:.6g} "
              f"theta_prime=[{d[3]:.6g},{d[4]:.6g}]" for d in traj.diagnostics]
-    with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_summary(out_dir, lines, traj)
 
 
 def run(config: SimConfig, out_dir: str) -> int:
@@ -775,47 +700,28 @@ def run(config: SimConfig, out_dir: str) -> int:
     config_resolved.txt and summary.txt into out_dir.
 
     Returns the process exit code: 0 on success, 2 on integration abort
-    (partial artifacts are written, summary carries a FAILED marker).
+    of either model (partial artifacts are written, summary carries a
+    FAILED marker).
     """
     setup = config.resolve()
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config_resolved.txt"), "w",
               encoding="utf-8", newline="\n") as fh:
         fh.write(write_config(config))
+    slab_model = config.model == "slab"
     code = 0
-    if config.model == "slab":
-        traj = slab_simulate(setup)
-        _write_slab_artifacts(out_dir, config, setup, traj)
-    else:
-        try:
-            traj = simulate(setup)
-        except IntegrationError as err:
-            traj = err.partial
-            code = 2
-        _write_1d_artifacts(out_dir, config, setup, traj)
+    try:
+        traj = (slab_simulate if slab_model else simulate)(setup)
+    except IntegrationError as err:
+        traj = err.partial
+        code = 2
+    write = _write_slab_artifacts if slab_model else _write_1d_artifacts
+    write(out_dir, config, setup, traj)
     return code
 
 
 # ---------------------------------------------------------------------------
 # command line
-
-
-def _apply_overrides(text: str, overrides: list[str]) -> str:
-    cp = configparser.ConfigParser()
-    cp.read_string(text)
-    for item in overrides:
-        try:
-            key, value = item.split("=", 1)
-            section, option = key.strip().split(".", 1)
-        except ValueError:
-            raise ConfigError(f"override must look like section.key=value, "
-                              f"got {item!r}")
-        if not cp.has_section(section):
-            cp.add_section(section)
-        cp.set(section, option.strip(), value.strip())
-    out = io.StringIO()
-    cp.write(out)
-    return out.getvalue()
 
 
 def main(argv=None) -> int:
@@ -840,30 +746,9 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        if args.preset:
-            config = preset(args.preset)
-            if args.override:
-                text = _apply_overrides(write_config(config), args.override)
-                config = _read_config_text(text)
-        else:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                text = fh.read()
-            if not text.strip():
-                raise ConfigError(
-                    "empty config; required sections/keys: [model] kind; "
-                    "[grid] length, nx; [time] dt, t_end, output_interval")
-            if args.override:
-                text = _apply_overrides(text, args.override)
-            config = _read_config_text(text)
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
-        code = run(config, args.out)
+        text = (write_config(preset(args.preset)) if args.preset
+                else _read_file(args.config))
+        code = run(_read_config_text(text, args.override), args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

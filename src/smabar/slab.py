@@ -43,7 +43,8 @@ The linearisation supports dispersive elastic waves,
 omega^2 = (c_wave k^2 - c_disp b^2 k^4)/rho, so wavenumbers with
 k b > sqrt(c_wave/c_disp) ~ 1.92 sit outside the long-wave validity of the
 expansion and are exponentially unstable; keep the grid coarse enough
-(dx > pi b / 1.92) that no resolved mode crosses that threshold.
+(dx > pi b / 1.92, `SlabParams.min_dx`) that no resolved mode crosses that
+threshold.  Run configs (`cli`) with a finer grid are rejected when read.
 
 End conditions: periodic (default, used by the dispersion tests) or
 pinned-insulated (U_i = V_i = 0 and dTh/dx = 0 at the ends, applied through
@@ -56,6 +57,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .solver1d import IntegrationError
+
 __all__ = [
     "SlabParams",
     "SlabState",
@@ -64,16 +67,9 @@ __all__ = [
     "slab_rhs",
     "reconstruct_fields",
     "slab_simulate",
-    "SlabIntegrationError",
 ]
 
 ENDS = ("periodic", "pinned_insulated")
-
-
-class SlabIntegrationError(RuntimeError):
-    def __init__(self, time: float, reason: str):
-        super().__init__(f"slab integration aborted at t={time:.6g} ms: {reason}")
-        self.time = time
 
 
 @dataclass(frozen=True)
@@ -123,11 +119,19 @@ class SlabParams:
             raise ValueError("half-thickness b must be positive")
         if self.rho <= 0 or self.cv <= 0:
             raise ValueError("rho and cv must be positive")
+        if self.c_wave <= 0 or self.c_disp < 0:
+            raise ValueError("c_wave must be positive and c_disp non-negative")
 
     @property
     def wave_speed(self) -> float:
         """Long-wave longitudinal phase speed sqrt(c_wave/rho), cm/ms."""
         return float(np.sqrt(self.c_wave / self.rho))
+
+    @property
+    def min_dx(self) -> float:
+        """Long-wave validity bound on the grid spacing, pi b sqrt(c_disp/c_wave)
+        (cm): finer grids resolve modes with k b > sqrt(c_wave/c_disp)."""
+        return float(np.pi * self.b * np.sqrt(self.c_disp / self.c_wave))
 
 
 #: Cu-based coefficient set.
@@ -256,7 +260,7 @@ def slab_rhs(state: SlabState, params: SlabParams, dx: float,
 
     for arr in (dV1, dV2, dTh):
         if not np.all(np.isfinite(arr)):
-            raise SlabIntegrationError(state.t, "non-finite right-hand side")
+            raise IntegrationError(state.t, "non-finite right-hand side")
     return state.V1.copy(), state.V2.copy(), dV1, dV2, dTh
 
 
@@ -341,6 +345,8 @@ class SlabTrajectory:
     dx: float
     snapshots: list
     diagnostics: list
+    failed: bool = False
+    failure: str = ""
 
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.snapshots])
@@ -355,8 +361,11 @@ def _slab_diag(state: SlabState, dx: float, ends: str):
 def slab_simulate(setup: SlabRunSetup) -> SlabTrajectory:
     """RK4 time integration of the reduced model.
 
-    Same snapshot cadence contract as the 1D solver:
-    floor(t_end/output_interval)+1 snapshots including t = 0.
+    Same snapshot cadence and failure contract as the 1D solver:
+    floor(t_end/output_interval)+1 snapshots including t = 0, and any
+    failure, a stage state rejected by SlabState.validate included, raises
+    solver1d.IntegrationError with the partial trajectory attached as its
+    `partial` attribute.
     """
     dx = setup.dx
     ends = setup.ends
@@ -365,9 +374,10 @@ def slab_simulate(setup: SlabRunSetup) -> SlabTrajectory:
     state.validate()
 
     def f(fields, t):
-        st = SlabState(t, *fields)
-        dU1, dU2, dV1, dV2, dTh = slab_rhs(st, p, dx, ends)
-        return np.stack([dU1, dU2, dV1, dV2, dTh])
+        try:
+            return np.stack(slab_rhs(SlabState(t, *fields), p, dx, ends))
+        except ValueError as exc:
+            raise IntegrationError(t, str(exc)) from exc
 
     z = state.fields()
     n_snap = int(np.floor(setup.t_end / setup.output_interval + 1e-9)) + 1
@@ -378,19 +388,25 @@ def slab_simulate(setup: SlabRunSetup) -> SlabTrajectory:
 
     n_steps = int(np.ceil(setup.t_end / setup.dt - 1e-9))
     t = 0.0
-    for n in range(n_steps):
-        dt = min(setup.dt, setup.t_end - t)
-        k1 = f(z, t)
-        k2 = f(z + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = f(z + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = f(z + dt * k3, t + dt)
-        z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = (n + 1) * setup.dt if dt == setup.dt else setup.t_end
-        if not np.all(np.isfinite(z)):
-            raise SlabIntegrationError(t, "non-finite values (stability violation)")
-        state = SlabState(t, *(row.copy() for row in z))
-        while next_snap < n_snap and t >= snap_times[next_snap] - tol:
-            traj.snapshots.append(state.copy())
-            traj.diagnostics.append(_slab_diag(state, dx, ends))
-            next_snap += 1
+    try:
+        for n in range(n_steps):
+            dt = min(setup.dt, setup.t_end - t)
+            k1 = f(z, t)
+            k2 = f(z + 0.5 * dt * k1, t + 0.5 * dt)
+            k3 = f(z + 0.5 * dt * k2, t + 0.5 * dt)
+            k4 = f(z + dt * k3, t + dt)
+            z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t = (n + 1) * setup.dt if dt == setup.dt else setup.t_end
+            if not np.all(np.isfinite(z)):
+                raise IntegrationError(t, "non-finite values (stability violation)")
+            state = SlabState(t, *(row.copy() for row in z))
+            while next_snap < n_snap and t >= snap_times[next_snap] - tol:
+                traj.snapshots.append(state.copy())
+                traj.diagnostics.append(_slab_diag(state, dx, ends))
+                next_snap += 1
+    except IntegrationError as err:
+        traj.failed = True
+        traj.failure = str(err)
+        err.partial = traj
+        raise
     return traj

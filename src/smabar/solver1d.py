@@ -366,10 +366,6 @@ class _Rhs:
         return dZ.ravel()
 
 
-def _make_rhs(grid, params, bcs, forcing, gamma_sign=1.0) -> _Rhs:
-    return _Rhs(grid, params, bcs, forcing, gamma_sign)
-
-
 # ---------------------------------------------------------------------------
 # public physics operators
 
@@ -386,7 +382,7 @@ def compute_stress(state: FieldState, grid: Grid1D, params: MaterialParams1D,
     to insulated ends and no forcing.
     """
     state.validate(grid, params)
-    f = _make_rhs(grid, params, bcs or BoundarySpec(), forcing or Forcing.none())
+    f = _Rhs(grid, params, bcs or BoundarySpec(), forcing or Forcing.none())
     w = state.theta_dot if params.tau0 > 0 else None
     out = f._stress_and_rates(state.u, state.v, state.theta, w, state.t)
     return out[-1]
@@ -402,7 +398,7 @@ def rhs(state: FieldState, grid: Grid1D, params: MaterialParams1D,
     if np.any(state.theta <= 0):
         raise IntegrationError(state.t, "non-positive temperature in state")
     state.validate(grid, params)
-    f = _make_rhs(grid, params, bcs, forcing, gamma_sign)
+    f = _Rhs(grid, params, bcs, forcing, gamma_sign)
     t = state.t if t is None else t
     return f.unpack(f(f.pack(state), t), t)
 
@@ -701,7 +697,7 @@ def step(state: FieldState, dt: float, grid: Grid1D, params: MaterialParams1D,
         raise ValueError(f"integrator must be one of {INTEGRATORS}")
     state = _clamp_pinned(state.copy(), bcs)
     state.validate(grid, params)
-    f = _make_rhs(grid, params, bcs, forcing, gamma_sign)
+    f = _Rhs(grid, params, bcs, forcing, gamma_sign)
     z = f.pack(state)
     if integrator == "rk4":
         z1 = _rk4_step(z, state.t, dt, f)
@@ -772,7 +768,7 @@ def simulate(setup: RunSetup) -> Trajectory:
     grid, params = setup.grid, setup.params
     state = _clamp_pinned(setup.state0.copy(), setup.bcs)
     state.validate(grid, params)
-    f = _make_rhs(grid, params, setup.bcs, setup.forcing, setup.gamma_sign)
+    f = _Rhs(grid, params, setup.bcs, setup.forcing, setup.gamma_sign)
     z = f.pack(state)
     stepper = (None if setup.integrator == "rk4"
                else _ImplicitStepper(f, setup.integrator))

@@ -2,13 +2,21 @@
 
 import math
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smabar.cli import (
+    _KINDS,
     ConfigError,
+    ForcingSpec,
+    InitialSpec,
+    MmsSpec,
     SimConfig,
+    SlabFieldInit,
+    SlabInitialSpec,
     _read_config_text,
     classify_strain,
     load_config,
@@ -17,6 +25,9 @@ from smabar.cli import (
     run,
     write_config,
 )
+from smabar.constitutive import MaterialParams1D
+from smabar.slab import SlabParams
+from smabar.solver1d import MECH_KINDS, THERMAL_KINDS, BoundarySpec
 
 MINIMAL = """\
 [model]
@@ -34,6 +45,39 @@ output_interval = 0.004
 [initial]
 theta = const
 theta_value = 250.0
+"""
+
+# the slab_reconstruct benchmark config: dx = 0.1 cm, just above the
+# long-wave bound pi b sqrt(c_disp/c_wave) = 0.0817 cm
+SLAB = """\
+[model]
+kind = slab
+
+[grid]
+length = 4.0
+nx = 40
+
+[time]
+dt = 0.0001
+t_end = 0.24
+output_interval = 0.002
+
+[integrator]
+kind = rk4
+
+[bcs]
+ends = pinned_insulated
+
+[slab_initial]
+u1 = sine
+u1_amplitude = 1e-05
+u1_mode = 1
+u2 = sine
+u2_amplitude = 0.0001
+u2_mode = 2
+
+[output]
+reconstruct_y = -0.7745966692414834, 0.0, 0.7745966692414834
 """
 
 
@@ -137,6 +181,26 @@ class TestConfigIO:
         with pytest.raises(ConfigError, match="line"):
             load_config(str(path))
 
+    @pytest.mark.parametrize("old, new", [
+        ("kind = rk4", "kind = implicit_euler"),
+        ("ends = pinned_insulated", "ends = foo"),
+        ("reconstruct_y = -0.77", "reconstruct_y = -1.5, -0.77"),
+        ("nx = 40", "nx = 49"),          # dx = 0.08163 cm, below the bound
+        ("reconstruct_y = -0.77", "reconstruct_y = x, -0.77"),
+        ("[bcs]", "[slab]\ns_theta = 1, x\n\n[bcs]"),
+        ("[bcs]", "[slab]\nh_lin = 1, 2\n\n[bcs]"),
+    ], ids=["implicit_integrator", "unknown_ends", "reconstruct_y_range",
+            "grid_below_long_wave_bound", "reconstruct_y_text",
+            "tuple_text", "tuple_length"])
+    def test_slab_out_of_validity_rejected(self, old, new):
+        _read_config_text(SLAB)
+        with pytest.raises(ConfigError):
+            _read_config_text(SLAB.replace(old, new))
+
+    def test_percent_sign_is_config_error(self):
+        with pytest.raises(ConfigError, match="length"):
+            _read_config_text(MINIMAL.replace("length = 1.0", "length = 1%"))
+
     def test_breakpoint_parse_error(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text(MINIMAL.replace(
@@ -145,6 +209,77 @@ class TestConfigIO:
             "theta = const"))
         with pytest.raises(ConfigError, match="breakpoint"):
             load_config(str(path))
+
+
+# Generated configs of either model; the other model's fields keep their
+# defaults, since write_config writes only the sections of config.model.
+NUM = st.floats(min_value=-1e12, max_value=1e12)
+POS = st.floats(min_value=1e-3, max_value=1e3)
+INT = st.integers(min_value=1, max_value=64)
+
+
+def dataclass_of(cls, model, prefix, positive=(), **given):
+    """Strategy for instances of cls at SimConfig attribute path prefix:
+    kind fields draw from the accepted values, the others by default type."""
+    def values(f):
+        kinds = _KINDS[model].get(prefix + (f.name,))
+        if kinds:
+            return st.sampled_from(kinds)
+        if isinstance(f.default, int):
+            return INT
+        if isinstance(f.default, tuple):
+            return st.tuples(*[NUM] * len(f.default))
+        return POS if f.name in positive else NUM
+    return st.builds(cls, **{f.name: given.get(f.name, values(f))
+                             for f in fields(cls)})
+
+
+def common_fields(model):
+    return dict(model=st.just(model), nx=st.integers(4, 512),
+                dt=POS, t_end=POS, output_interval=POS,
+                integrator=st.sampled_from(_KINDS[model][("integrator",)]))
+
+
+FULL_1D = st.builds(
+    SimConfig, **common_fields("full_1d"), length=POS,
+    material=dataclass_of(MaterialParams1D, "full_1d", ("material",),
+                          positive=[f.name for f in fields(MaterialParams1D)]),
+    gamma_negate=st.booleans(),
+    bcs=dataclass_of(BoundarySpec, "full_1d", ("bcs",), positive=["beta"],
+                     mech=st.sampled_from(MECH_KINDS),
+                     thermal=st.sampled_from(THERMAL_KINDS)),
+    forcing=dataclass_of(ForcingSpec, "full_1d", ("forcing",)),
+    initial=dataclass_of(InitialSpec, "full_1d", ("initial",),
+                         u_breakpoints=st.lists(st.tuples(NUM, NUM), min_size=2,
+                                                max_size=5).map(tuple)),
+    mms=dataclass_of(MmsSpec, "full_1d", ("mms",)),
+    austenite_band=st.floats(1e-3, 0.05), martensite_band=st.floats(0.05, 0.5))
+
+
+@st.composite
+def slab_configs(draw):
+    params = draw(dataclass_of(SlabParams, "slab", ("slab_material",),
+                               positive=["b", "rho", "cv", "c_wave", "c_disp"]))
+    nx = draw(st.integers(4, 512))
+    fields_init = {f.name: dataclass_of(SlabFieldInit, "slab",
+                                        ("slab_initial", f.name))
+                   for f in fields(SlabInitialSpec)}
+    return draw(st.builds(
+        SimConfig, **{**common_fields("slab"), "nx": st.just(nx)},
+        slab_material=st.just(params),
+        length=st.floats(1.5, 100.0).map(lambda r: r * nx * params.min_dx),
+        ends=st.sampled_from(_KINDS["slab"][("ends",)]),
+        slab_initial=st.builds(SlabInitialSpec, **fields_init),
+        reconstruct_y=st.lists(st.floats(-1.0, 1.0), max_size=4).map(tuple)))
+
+
+class TestConfigRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(FULL_1D, slab_configs()))
+    def test_write_read_write(self, cfg):
+        text = write_config(cfg.validate())
+        assert _read_config_text(text) == cfg
+        assert write_config(_read_config_text(text)) == text
 
 
 class TestClassification:
@@ -216,6 +351,15 @@ class TestRunArtifacts:
         assert code == 2
         assert "FAILED" in (out / "summary.txt").read_text()
 
+    def test_slab_integration_abort_exit_code(self, tmp_path):
+        out = tmp_path / "out"
+        code = run(_read_config_text(SLAB.replace("dt = 0.0001", "dt = 0.01")),
+                   str(out))
+        assert code == 2
+        assert "FAILED" in (out / "summary.txt").read_text()
+        rows = (out / "snapshots.csv").read_text().splitlines()
+        assert len(rows) >= 1 + 41          # header and the t = 0 snapshot
+
     def test_slab_run_artifacts(self, tmp_path):
         cfg = SimConfig(model="slab", nx=32, length=6.28, dt=1e-4,
                         t_end=2e-3, output_interval=1e-3,
@@ -253,6 +397,12 @@ class TestMain:
         p.write_text("")
         assert main(["run", "--config", str(p),
                      "--out", str(tmp_path / "o")]) == 1
+
+    def test_unparsable_config_with_override_exit_code(self, tmp_path, capsys):
+        p = tmp_path / "broken.ini"
+        p.write_text("[model]\nkind = full_1d\nloose text\n")
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "o"),
+                     "--override", "time.dt=1"]) == 1
 
     def test_bad_override_exit_code(self, tmp_path, capsys):
         assert main(["run", "--preset", "conservation",
