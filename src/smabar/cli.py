@@ -406,6 +406,13 @@ def _format(path, value) -> str:
     return str(value)
 
 
+def _float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("expected a finite number")
+    return value
+
+
 def _parse(path, raw: str):
     default = _lookup(_DEFAULTS, path)
     items = [item.strip() for item in raw.split(",") if item.strip()]
@@ -413,16 +420,18 @@ def _parse(path, raw: str):
         pairs = [item.split(":") for item in items]
         if any(len(pair) != 2 for pair in pairs):
             raise ValueError("breakpoints are x:value pairs")
-        return tuple((float(x), float(u)) for x, u in pairs)
+        return tuple((_float(x), _float(u)) for x, u in pairs)
     if isinstance(default, bool):
         if raw.lower() not in ("true", "false"):
             raise ValueError("expected true or false")
         return raw.lower() == "true"
     if isinstance(default, tuple):
-        values = tuple(float(v) for v in items)
+        values = tuple(_float(v) for v in items)
         if default and len(values) != len(default):
             raise ValueError(f"expected {len(default)} comma-separated values")
         return values
+    if isinstance(default, float):
+        return _float(raw)
     return type(default)(raw)
 
 

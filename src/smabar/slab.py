@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver1d import IntegrationError
+from .solver1d import IntegrationError, _drive, _rk4_step, _Trajectory
 
 __all__ = [
     "SlabParams",
@@ -160,6 +160,7 @@ class SlabState:
                 raise ValueError("slab state arrays must have equal length")
         if np.any(self.Th <= -300.0):
             raise ValueError("ThetaPrime must stay above -300 K")
+        return self
 
     def copy(self) -> "SlabState":
         return SlabState(self.t, self.U1.copy(), self.U2.copy(),
@@ -340,16 +341,9 @@ class SlabRunSetup:
 
 
 @dataclass
-class SlabTrajectory:
+class SlabTrajectory(_Trajectory):
     params: SlabParams
     dx: float
-    snapshots: list
-    diagnostics: list
-    failed: bool = False
-    failure: str = ""
-
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.snapshots])
 
 
 def _slab_diag(state: SlabState, dx: float, ends: str):
@@ -361,17 +355,13 @@ def _slab_diag(state: SlabState, dx: float, ends: str):
 def slab_simulate(setup: SlabRunSetup) -> SlabTrajectory:
     """RK4 time integration of the reduced model.
 
-    Same snapshot cadence and failure contract as the 1D solver:
-    floor(t_end/output_interval)+1 snapshots including t = 0, and any
-    failure, a stage state rejected by SlabState.validate included, raises
-    solver1d.IntegrationError with the partial trajectory attached as its
-    `partial` attribute.
+    Runs on the 1D solver's driver (solver1d._drive), so the cadence and
+    failure contract are the same: floor(t_end/output_interval)+1
+    snapshots including t = 0, each passing SlabState.validate; any
+    failure, an RK4 stage state that check rejects included, raises
+    solver1d.IntegrationError with the partial trajectory as `partial`.
     """
-    dx = setup.dx
-    ends = setup.ends
-    p = setup.params
-    state = setup.state0.copy()
-    state.validate()
+    dx, ends, p = setup.dx, setup.ends, setup.params
 
     def f(fields, t):
         try:
@@ -379,34 +369,8 @@ def slab_simulate(setup: SlabRunSetup) -> SlabTrajectory:
         except ValueError as exc:
             raise IntegrationError(t, str(exc)) from exc
 
-    z = state.fields()
-    n_snap = int(np.floor(setup.t_end / setup.output_interval + 1e-9)) + 1
-    snap_times = np.arange(n_snap) * setup.output_interval
-    tol = 1e-9 * max(setup.dt, setup.output_interval)
-    traj = SlabTrajectory(p, dx, [state.copy()], [_slab_diag(state, dx, ends)])
-    next_snap = 1
-
-    n_steps = int(np.ceil(setup.t_end / setup.dt - 1e-9))
-    t = 0.0
-    try:
-        for n in range(n_steps):
-            dt = min(setup.dt, setup.t_end - t)
-            k1 = f(z, t)
-            k2 = f(z + 0.5 * dt * k1, t + 0.5 * dt)
-            k3 = f(z + 0.5 * dt * k2, t + 0.5 * dt)
-            k4 = f(z + dt * k3, t + dt)
-            z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t = (n + 1) * setup.dt if dt == setup.dt else setup.t_end
-            if not np.all(np.isfinite(z)):
-                raise IntegrationError(t, "non-finite values (stability violation)")
-            state = SlabState(t, *(row.copy() for row in z))
-            while next_snap < n_snap and t >= snap_times[next_snap] - tol:
-                traj.snapshots.append(state.copy())
-                traj.diagnostics.append(_slab_diag(state, dx, ends))
-                next_snap += 1
-    except IntegrationError as err:
-        traj.failed = True
-        traj.failure = str(err)
-        err.partial = traj
-        raise
-    return traj
+    return _drive(SlabTrajectory(p, dx), setup, setup.state0.copy().validate(),
+                  SlabState.fields,
+                  lambda z, t: SlabState(t, *z.copy()).validate(),
+                  lambda z, t, dt: _rk4_step(z, t, dt, f),
+                  lambda s: _slab_diag(s, dx, ends))

@@ -44,7 +44,7 @@ lands on a snap-through it cannot resolve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -220,8 +220,9 @@ def _theta_ghosts(theta: np.ndarray, grid: Grid1D, params: MaterialParams1D,
 def _node_average(mid: np.ndarray) -> np.ndarray:
     """Midpoint field -> node field: interior average, one-sided at ends.
 
-    This is the adjoint of the staggered difference under trapezoid
-    weights, which is what makes the coupling exchange conservative.
+    Under trapezoid node weights w this is the adjoint of the
+    node-to-midpoint average, sum(w a <m>) = sum(m (a[1:] + a[:-1]) / 2),
+    which is what makes the coupling exchange conservative.
     """
     out = np.empty(mid.size + 1)
     out[1:-1] = 0.5 * (mid[1:] + mid[:-1])
@@ -268,6 +269,13 @@ class _Rhs:
         Z = z.reshape(self.nn, self.nf)
         w = Z[:, 3].copy() if self.nf == 4 else None
         return FieldState(t, Z[:, 0].copy(), Z[:, 1].copy(), Z[:, 2].copy(), w)
+
+    def checked(self, z: np.ndarray, t: float) -> FieldState:
+        """unpack, rejecting a state whose temperature is not positive."""
+        state = self.unpack(z, t)
+        if np.any(state.theta <= 0):
+            raise ValueError("non-positive temperature")
+        return state
 
     # -- physics ------------------------------------------------------------
 
@@ -474,7 +482,7 @@ def stable_dt(state: FieldState, grid: Grid1D,
 # time integration
 
 
-def _rk4_step(z: np.ndarray, t: float, dt: float, f: _Rhs) -> np.ndarray:
+def _rk4_step(z: np.ndarray, t: float, dt: float, f: Callable) -> np.ndarray:
     k1 = f(z, t)
     k2 = f(z + 0.5 * dt * k1, t + 0.5 * dt)
     k3 = f(z + 0.5 * dt * k2, t + 0.5 * dt)
@@ -683,6 +691,24 @@ def _clamp_pinned(state: FieldState, bcs: BoundarySpec) -> FieldState:
     return state
 
 
+def _stepper(f: _Rhs, integrator: str):
+    """advance(z, t, dt): one step of the selected integrator."""
+    if integrator == "rk4":
+        return lambda z, t, dt: _rk4_step(z, t, dt, f)
+    return _ImplicitStepper(f, integrator).advance
+
+
+def _accept(z: np.ndarray, t: float, unpack):
+    """The state a step ended in at time t, or IntegrationError(t) when its
+    values are not finite or unpack's state check (ValueError) rejects it."""
+    if not np.all(np.isfinite(z)):
+        raise IntegrationError(t, "non-finite values (stability violation)")
+    try:
+        return unpack(z, t)
+    except ValueError as exc:
+        raise IntegrationError(t, str(exc)) from exc
+
+
 def step(state: FieldState, dt: float, grid: Grid1D, params: MaterialParams1D,
          bcs: BoundarySpec, forcing: Forcing, integrator: str = "rk4",
          gamma_sign: float = 1.0) -> FieldState:
@@ -698,17 +724,47 @@ def step(state: FieldState, dt: float, grid: Grid1D, params: MaterialParams1D,
     state = _clamp_pinned(state.copy(), bcs)
     state.validate(grid, params)
     f = _Rhs(grid, params, bcs, forcing, gamma_sign)
-    z = f.pack(state)
-    if integrator == "rk4":
-        z1 = _rk4_step(z, state.t, dt, f)
-    else:
-        z1 = _ImplicitStepper(f, integrator).advance(z, state.t, dt)
-    new = f.unpack(z1, state.t + dt)
-    if not np.all(np.isfinite(z1)):
-        raise IntegrationError(state.t + dt, "non-finite values (stability violation)")
-    if np.any(new.theta <= 0):
-        raise IntegrationError(state.t + dt, "non-positive temperature")
-    return new
+    z1 = _stepper(f, integrator)(f.pack(state), state.t, dt)
+    return _accept(z1, state.t + dt, f.checked)
+
+
+def _drive(traj, setup, state, pack, unpack, advance, diag):
+    """Advance state from t = 0 to setup.t_end in fixed steps of setup.dt
+    (the last one shortened to end on t_end), filling and returning traj.
+
+    Models supply advance(z, t, dt) on z = pack(state), unpack(z, t) that
+    raises ValueError on a state the model rejects, and diag(state).  The
+    state at t = 0 is stored, then for each multiple of output_interval the
+    state at the first step time reaching it (repeated when output_interval
+    < dt).  A non-finite or rejected step is not stored: IntegrationError at
+    its end time, with traj (failed, failure set) attached as `partial`.
+    """
+    n_snap = int(np.floor(setup.t_end / setup.output_interval + 1e-9)) + 1
+    snap_times = np.arange(n_snap) * setup.output_interval
+    tol = 1e-9 * max(setup.dt, setup.output_interval)
+    traj.snapshots.append(state.copy())
+    traj.diagnostics.append(diag(state))
+    next_snap = 1
+
+    z = pack(state)
+    n_steps = int(np.ceil(setup.t_end / setup.dt - 1e-9))
+    t = 0.0
+    try:
+        for n in range(n_steps):
+            dt = min(setup.dt, setup.t_end - t)
+            z = advance(z, t, dt)
+            t = (n + 1) * setup.dt if dt == setup.dt else setup.t_end
+            state = _accept(z, t, unpack)
+            while next_snap < n_snap and t >= snap_times[next_snap] - tol:
+                traj.snapshots.append(state.copy())
+                traj.diagnostics.append(diag(state))
+                next_snap += 1
+    except IntegrationError as err:
+        traj.failed = True
+        traj.failure = str(err)
+        err.partial = traj
+        raise
+    return traj
 
 
 @dataclass
@@ -733,21 +789,26 @@ class RunSetup:
             raise ValueError(f"integrator must be one of {INTEGRATORS}")
 
 
-@dataclass
-class Trajectory:
-    """Simulation output: snapshots at the configured cadence plus a
-    per-snapshot diagnostics series (t, total_energy, max|eps|, theta
-    extrema)."""
+@dataclass(kw_only=True)
+class _Trajectory:
+    """Snapshots, one diagnostics row each, and a run's abort status."""
 
-    grid: Grid1D
-    params: MaterialParams1D
-    snapshots: list
-    diagnostics: list
+    snapshots: list = field(default_factory=list)
+    diagnostics: list = field(default_factory=list)
     failed: bool = False
     failure: str = ""
 
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.snapshots])
+
+
+@dataclass
+class Trajectory(_Trajectory):
+    """Bar run output; diagnostics rows are (t, total_energy, max|eps|,
+    theta_min, theta_max)."""
+
+    grid: Grid1D
+    params: MaterialParams1D
 
 
 def _diag_row(state: FieldState, grid: Grid1D, params: MaterialParams1D):
@@ -769,41 +830,6 @@ def simulate(setup: RunSetup) -> Trajectory:
     state = _clamp_pinned(setup.state0.copy(), setup.bcs)
     state.validate(grid, params)
     f = _Rhs(grid, params, setup.bcs, setup.forcing, setup.gamma_sign)
-    z = f.pack(state)
-    stepper = (None if setup.integrator == "rk4"
-               else _ImplicitStepper(f, setup.integrator))
-
-    n_snap = int(np.floor(setup.t_end / setup.output_interval + 1e-9)) + 1
-    snap_times = np.arange(n_snap) * setup.output_interval
-    tol = 1e-9 * max(setup.dt, setup.output_interval)
-
-    traj = Trajectory(grid, params, [], [])
-    traj.snapshots.append(state.copy())
-    traj.diagnostics.append(_diag_row(state, grid, params))
-    next_snap = 1
-
-    n_steps = int(np.ceil(setup.t_end / setup.dt - 1e-9))
-    t = 0.0
-    try:
-        for n in range(n_steps):
-            dt = min(setup.dt, setup.t_end - t)
-            if stepper is None:
-                z = _rk4_step(z, t, dt, f)
-            else:
-                z = stepper.advance(z, t, dt)
-            t = (n + 1) * setup.dt if dt == setup.dt else setup.t_end
-            if not np.all(np.isfinite(z)):
-                raise IntegrationError(t, "non-finite values (stability violation)")
-            state = f.unpack(z, t)
-            if np.any(state.theta <= 0):
-                raise IntegrationError(t, "non-positive temperature")
-            while next_snap < n_snap and t >= snap_times[next_snap] - tol:
-                traj.snapshots.append(state.copy())
-                traj.diagnostics.append(_diag_row(state, grid, params))
-                next_snap += 1
-    except IntegrationError as err:
-        traj.failed = True
-        traj.failure = str(err)
-        err.partial = traj
-        raise
-    return traj
+    return _drive(Trajectory(grid, params), setup, state, f.pack, f.checked,
+                  _stepper(f, setup.integrator),
+                  lambda s: _diag_row(s, grid, params))

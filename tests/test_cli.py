@@ -26,8 +26,9 @@ from smabar.cli import (
     write_config,
 )
 from smabar.constitutive import MaterialParams1D
-from smabar.slab import SlabParams
-from smabar.solver1d import MECH_KINDS, THERMAL_KINDS, BoundarySpec
+from smabar.slab import SlabParams, SlabRunSetup, slab_simulate
+from smabar.solver1d import (MECH_KINDS, THERMAL_KINDS, BoundarySpec,
+                             IntegrationError, simulate)
 
 MINIMAL = """\
 [model]
@@ -79,6 +80,8 @@ u2_mode = 2
 [output]
 reconstruct_y = -0.7745966692414834, 0.0, 0.7745966692414834
 """
+
+MODELS = {"full_1d": MINIMAL, "slab": SLAB}
 
 
 class TestPresets:
@@ -196,6 +199,21 @@ class TestConfigIO:
         _read_config_text(SLAB)
         with pytest.raises(ConfigError):
             _read_config_text(SLAB.replace(old, new))
+
+    @pytest.mark.parametrize("model, override", [
+        ("full_1d", "time.dt=nan"),
+        ("full_1d", "grid.length=inf"),
+        ("full_1d", "material.rho=nan"),
+        ("full_1d", "bcs.beta=nan"),
+        ("full_1d", "initial.u_breakpoints=0:0, 1:inf"),
+        ("slab", "time.t_end=-inf"),
+        ("slab", "slab.b=nan"),
+        ("slab", "slab.s_theta=922, nan"),
+    ])
+    def test_non_finite_rejected(self, model, override):
+        _read_config_text(MODELS[model])
+        with pytest.raises(ConfigError, match="finite"):
+            _read_config_text(MODELS[model], [override])
 
     def test_percent_sign_is_config_error(self):
         with pytest.raises(ConfigError, match="length"):
@@ -360,6 +378,14 @@ class TestRunArtifacts:
         rows = (out / "snapshots.csv").read_text().splitlines()
         assert len(rows) >= 1 + 41          # header and the t = 0 snapshot
 
+    def test_slab_abort_stores_only_valid_states(self, tmp_path):
+        out = tmp_path / "out"
+        code = run(_read_config_text(SLAB, ["time.dt=0.01"]), str(out))
+        assert code == 2
+        assert "FAILED" in (out / "summary.txt").read_text()
+        rows = (out / "snapshots.csv").read_text().splitlines()[1:]
+        assert min(float(row.split(",")[6]) for row in rows) > -300.0
+
     def test_slab_run_artifacts(self, tmp_path):
         cfg = SimConfig(model="slab", nx=32, length=6.28, dt=1e-4,
                         t_end=2e-3, output_interval=1e-3,
@@ -371,6 +397,69 @@ class TestRunArtifacts:
         rec = (out / "reconstruction.csv").read_text().splitlines()
         assert rec[0] == "t,x,Y,u1,u2,theta"
         assert len(rec) == 1 + 3 * 2 * 32     # snapshots * Y values * points
+
+
+ABORTS = {"full_1d": ["time.dt=0.05", "time.t_end=2.0",
+                      "time.output_interval=0.05", "initial.u=sine",
+                      "initial.u_amplitude=0.01", "initial.u_mode=3"],
+          "slab": ["time.dt=0.01"]}
+
+
+def _setup(model, overrides):
+    return _read_config_text(MODELS[model], overrides).resolve()
+
+
+def _simulate(setup):
+    slab = isinstance(setup, SlabRunSetup)
+    return (slab_simulate if slab else simulate)(setup)
+
+
+def _check_state(setup, state):
+    """The after-step check of the model that produced state."""
+    if isinstance(setup, SlabRunSetup):
+        assert np.all(np.isfinite(state.fields()))
+        state.validate()
+    else:
+        for values in (state.u, state.v, state.theta):
+            assert np.all(np.isfinite(values))
+        state.validate(setup.grid, setup.params)
+
+
+@pytest.mark.parametrize("model", list(MODELS))
+class TestDriverContract:
+    """Step count, snapshot cadence and abort contract, the same for both
+    models since they share one time-stepping driver."""
+
+    def test_last_step_shortened_onto_t_end(self, model):
+        traj = _simulate(_setup(model, ["time.dt=0.00015", "time.t_end=0.001",
+                                        "time.output_interval=0.00025"]))
+        assert len(traj.snapshots) == int(np.floor(0.001 / 0.00025)) + 1
+        assert traj.times()[-1] == 0.001
+        # each snapshot is the first step time reaching its multiple
+        np.testing.assert_allclose(traj.times(),
+                                   [0.0, 3e-4, 6e-4, 7.5e-4, 1e-3], rtol=1e-12)
+        assert len(traj.diagnostics) == len(traj.snapshots)
+
+    def test_output_interval_below_dt_repeats_states(self, model):
+        traj = _simulate(_setup(model, ["time.dt=0.0001", "time.t_end=0.0002",
+                                        "time.output_interval=0.00004"]))
+        np.testing.assert_allclose(
+            traj.times(), [0.0, 1e-4, 1e-4, 2e-4, 2e-4, 2e-4], rtol=1e-12)
+        assert traj.diagnostics[1] == traj.diagnostics[2]
+        assert traj.diagnostics[3] == traj.diagnostics[5]
+
+    def test_abort_attaches_valid_partial(self, model):
+        setup = _setup(model, ABORTS[model])
+        with pytest.raises(IntegrationError) as err:
+            _simulate(setup)
+        partial = err.value.partial
+        assert partial.failed and partial.failure == str(err.value)
+        assert partial.snapshots
+        assert len(partial.diagnostics) == len(partial.snapshots)
+        # the rejected step is not stored
+        assert partial.times()[-1] < err.value.time
+        for state in partial.snapshots:
+            _check_state(setup, state)
 
 
 class TestMain:
