@@ -3,7 +3,6 @@
 Subpackages:
 
 * constitutive -- sextic Landau free energy, stress, entropy, conduction
-* heat_flux    -- Fourier, relaxed (finite-speed) and generalised flux laws
 * invariants3d -- cubic-group strain invariants and the 3D free energy
 * solver1d     -- staggered-grid method-of-lines solver for the coupled bar
 * slab         -- centre-manifold reduced model of a thin slab
@@ -13,7 +12,6 @@ Subpackages:
 
 from .constitutive import (
     MaterialParams1D,
-    ThermoState,
     conductivity,
     cu_based,
     entropy,
@@ -21,9 +19,7 @@ from .constitutive import (
     free_energy,
     internal_energy,
     strain_energy,
-    total_stress,
 )
-from .heat_flux import cattaneo_step, fourier_flux, generalized_flux
 from .invariants3d import (
     FalkKonopkaCoeffs,
     Strain3,
@@ -52,7 +48,6 @@ from .solver1d import (
     RunSetup,
     Trajectory,
     compute_stress,
-    conduction_entropy_production,
     energy_budget,
     rhs,
     simulate,

@@ -35,12 +35,10 @@ import numpy as np
 
 __all__ = [
     "MaterialParams1D",
-    "ThermoState",
     "cu_based",
     "free_energy",
     "strain_energy",
     "equilibrium_stress",
-    "total_stress",
     "entropy",
     "internal_energy",
     "conductivity",
@@ -105,33 +103,9 @@ class MaterialParams1D:
     def alpha6(self) -> float:
         return self.k3 / self.rho
 
-    @property
-    def mu_tilde(self) -> float:
-        return self.mu / self.rho
-
-    @property
-    def nu_tilde(self) -> float:
-        return self.nu / self.rho
-
     def with_(self, **kw) -> "MaterialParams1D":
         """Copy with selected fields replaced."""
         return replace(self, **kw)
-
-
-@dataclass
-class ThermoState:
-    """Pointwise thermodynamic state (theta, eps) plus optional rates."""
-
-    theta: float
-    eps: float
-    theta_dot: float = 0.0
-    eps_dot: float = 0.0
-
-    def __post_init__(self):
-        if np.any(np.asarray(self.theta) <= 0):
-            raise ValueError("temperature must be positive")
-        if np.any(1.0 + np.asarray(self.eps) <= 0):
-            raise ValueError("1 + eps must stay positive")
 
 
 #: Cu-based alloy constants (constant conductivity, no rate terms).
@@ -182,16 +156,6 @@ def equilibrium_stress(p: MaterialParams1D, theta, eps):
     return eps * (p.k1 * (theta - p.theta1) + e2 * (-p.k2 + e2 * p.k3))
 
 
-def total_stress(p: MaterialParams1D, st: ThermoState):
-    """Equilibrium stress plus viscous and thermal rate contributions.
-
-    s = equilibrium_stress + mu * d(eps)/dt + nu * d(theta)/dt, with mu and
-    nu already density-absorbed.
-    """
-    s = equilibrium_stress(p, st.theta, st.eps)
-    return s + p.mu * st.eps_dot + p.nu * st.theta_dot
-
-
 def entropy(p: MaterialParams1D, theta, eps):
     """Entropy per unit mass, eta = a1 (1 + ln theta) - (1/2) a2 eps^2.
 
@@ -217,6 +181,4 @@ def conductivity(p: MaterialParams1D, theta):
     With beta_tilde = 0 (the default) this is the constant k0.
     """
     theta = np.asarray(theta, dtype=float)
-    if p.beta_tilde == 0.0:
-        return np.broadcast_to(np.float64(p.k0), theta.shape).copy() if theta.shape else np.float64(p.k0)
     return p.k0 * (1.0 + p.beta_tilde * theta)

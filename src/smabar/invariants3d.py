@@ -34,7 +34,7 @@ argument is non-positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations, product
 from typing import NamedTuple
 
@@ -189,30 +189,6 @@ class FalkKonopkaCoeffs:
             raise ValueError(
                 "psi0 logarithm argument non-positive: requires theta > theta0")
         return -self.psi0_alpha1 * theta * np.log(arg)
-
-    # plain-mapping round trip, the config-file surface for custom tables
-    def to_dict(self) -> dict:
-        out = {"psi0_alpha1": self.psi0_alpha1, "theta0": self.theta0}
-        for name in ("psi2", "psi4", "psi6"):
-            for j, (base, slope) in enumerate(getattr(self, name), start=1):
-                out[f"{name}_{j}_base"] = base
-                out[f"{name}_{j}_slope"] = slope
-        return out
-
-    @classmethod
-    def from_dict(cls, mapping: dict) -> "FalkKonopkaCoeffs":
-        data = dict(mapping)
-        kw = {}
-        for name, count in (("psi2", 3), ("psi4", 5), ("psi6", 2)):
-            kw[name] = tuple(
-                (float(data.pop(f"{name}_{j}_base")),
-                 float(data.pop(f"{name}_{j}_slope", 0.0)))
-                for j in range(1, count + 1))
-        kw["psi0_alpha1"] = float(data.pop("psi0_alpha1", 29.0))
-        kw["theta0"] = float(data.pop("theta0", 300.0))
-        if data:
-            raise ValueError(f"unknown coefficient keys: {sorted(data)}")
-        return cls(**kw)
 
 
 #: Cu-based alloy coefficient table.

@@ -42,13 +42,6 @@ class MmsCase:
     theta: Callable
     body: Callable            # F*(x, t)
     heat: Callable            # G*(x, t)
-    params: MaterialParams1D
-    length: float
-    u_amplitude: float
-    theta_bar: float
-    theta_amplitude: float
-    omega_u: float
-    omega_t: float
 
 
 def build_mms_case(params: MaterialParams1D, length: float = 1.0,
@@ -96,6 +89,4 @@ def build_mms_case(params: MaterialParams1D, length: float = 1.0,
             return np.asarray(fn(np.asarray(xv, dtype=float), tv), dtype=float)
         return call
 
-    return MmsCase(vec(u_f), vec(v_f), vec(th_f), vec(body_f), vec(heat_f),
-                   params, length, u_amplitude, theta_bar, theta_amplitude,
-                   omega_u, omega_t)
+    return MmsCase(vec(u_f), vec(v_f), vec(th_f), vec(body_f), vec(heat_f))

@@ -65,7 +65,6 @@ __all__ = [
     "step",
     "simulate",
     "energy_budget",
-    "conduction_entropy_production",
     "stable_dt",
 ]
 
@@ -120,8 +119,7 @@ class BoundarySpec:
 
     thermal: 'insulated' (zero flux both ends), 'controlled_flux' (left
     end insulated, right end -k dtheta/dx = beta (theta - theta_ambient(t)))
-    or 'fixed_theta' (both ends held at fixed_value; interpreted as the
-    supplied ambient value since 0 K is outside the model's domain).
+    or 'fixed_theta' (both end temperatures held at fixed_value).
     """
 
     mech: str = "pinned"
@@ -156,11 +154,6 @@ class Forcing:
     def none(cls) -> "Forcing":
         zero = lambda x, t: np.zeros_like(x)
         return cls(zero, zero)
-
-    @classmethod
-    def uniform(cls, f_value: float, g_value: float = 0.0) -> "Forcing":
-        return cls(lambda x, t: np.full_like(x, f_value),
-                   lambda x, t: np.full_like(x, g_value))
 
 
 @dataclass
@@ -429,25 +422,6 @@ def energy_budget(state: FieldState, grid: Grid1D,
     return float(np.sum(w * nodal) * dx + np.sum(mech) * dx)
 
 
-def conduction_entropy_production(state: FieldState, grid: Grid1D,
-                                  params: MaterialParams1D) -> np.ndarray:
-    """Pointwise conduction dissipation k (grad theta)^2 / theta >= 0.
-
-    Fourier-regime diagnostic; requires tau0 = 0.
-    """
-    if params.tau0 != 0:
-        raise ValueError("conduction entropy production is a Fourier-regime "
-                         "diagnostic (tau0 = 0)")
-    th = state.theta
-    dx = grid.dx
-    grad = np.empty_like(th)
-    grad[1:-1] = (th[2:] - th[:-2]) / (2.0 * dx)
-    grad[0] = (-3.0 * th[0] + 4.0 * th[1] - th[2]) / (2.0 * dx)
-    grad[-1] = (3.0 * th[-1] - 4.0 * th[-2] + th[-3]) / (2.0 * dx)
-    k = conductivity(params, th)
-    return k * grad * grad / th
-
-
 def stable_dt(state: FieldState, grid: Grid1D,
               params: MaterialParams1D) -> float:
     """Explicit RK4 step bound for the current state.
@@ -679,15 +653,19 @@ class _ImplicitStepper:
         return z2
 
 
-def _clamp_pinned(state: FieldState, bcs: BoundarySpec) -> FieldState:
-    """Zero the constrained end values exactly (ICs built from analytic
-    profiles may carry round-off there, e.g. sin(pi) != 0 in floats)."""
+def _clamp_ends(state: FieldState, bcs: BoundarySpec) -> FieldState:
+    """Set the end values the boundary conditions hold: zero u and v at
+    pinned ends, exactly (ICs built from analytic profiles may carry
+    round-off there, e.g. sin(pi) != 0 in floats), and theta = fixed_value
+    at fixed_theta ends."""
     if bcs.mech in ("pinned", "mixed"):
         state.u[-1] = 0.0
         state.v[-1] = 0.0
     if bcs.mech == "pinned":
         state.u[0] = 0.0
         state.v[0] = 0.0
+    if bcs.thermal == "fixed_theta":
+        state.theta[0] = state.theta[-1] = bcs.fixed_value
     return state
 
 
@@ -721,7 +699,7 @@ def step(state: FieldState, dt: float, grid: Grid1D, params: MaterialParams1D,
         raise ValueError("dt must be positive")
     if integrator not in INTEGRATORS:
         raise ValueError(f"integrator must be one of {INTEGRATORS}")
-    state = _clamp_pinned(state.copy(), bcs)
+    state = _clamp_ends(state.copy(), bcs)
     state.validate(grid, params)
     f = _Rhs(grid, params, bcs, forcing, gamma_sign)
     z1 = _stepper(f, integrator)(f.pack(state), state.t, dt)
@@ -827,7 +805,7 @@ def simulate(setup: RunSetup) -> Trajectory:
     its `partial` attribute.
     """
     grid, params = setup.grid, setup.params
-    state = _clamp_pinned(setup.state0.copy(), setup.bcs)
+    state = _clamp_ends(setup.state0.copy(), setup.bcs)
     state.validate(grid, params)
     f = _Rhs(grid, params, setup.bcs, setup.forcing, setup.gamma_sign)
     return _drive(Trajectory(grid, params), setup, state, f.pack, f.checked,

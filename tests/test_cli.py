@@ -355,6 +355,19 @@ class TestRunArtifacts:
             assert f"M+={int(np.sum(labels == 'M+'))}" in line
             assert f"M-={int(np.sum(labels == 'M-'))}" in line
 
+    def test_fixed_theta_ends_hold_fixed_value(self, tmp_path):
+        text = MINIMAL.replace("theta_value = 250.0", "theta_value = 300.0")
+        text += ("\n[integrator]\nkind = implicit_euler\n\n"
+                 "[bcs]\nthermal = fixed_theta\nfixed_value = 250.0\n")
+        out = tmp_path / "out"
+        assert run(_read_config_text(text), str(out)) == 0
+        rows = (out / "snapshots.csv").read_text().splitlines()[1:]
+        data = np.array([[float(v) for v in r.split(",")] for r in rows])
+        x, theta = data[:, 1], data[:, 4]
+        ends = theta[(x == 0.0) | (x == 1.0)]
+        assert ends.size == 2 * 6
+        np.testing.assert_array_equal(ends, 250.0)
+
     def test_integration_abort_exit_code(self, tmp_path):
         text = MINIMAL.replace("dt = 0.001", "dt = 0.05")
         text = text.replace("t_end = 0.02", "t_end = 2.0")

@@ -12,7 +12,6 @@ import pytest
 
 from smabar.constitutive import (
     MaterialParams1D,
-    ThermoState,
     conductivity,
     cu_based,
     entropy,
@@ -20,7 +19,6 @@ from smabar.constitutive import (
     free_energy,
     internal_energy,
     strain_energy,
-    total_stress,
 )
 
 P = cu_based()
@@ -84,22 +82,6 @@ class TestEquilibriumStress:
         s_rho = equilibrium_stress(P, theta, eps) / P.rho
         err = np.abs(s_rho - fd)
         assert np.all(err <= 1e-6 * np.maximum(1.0, np.abs(s_rho)))
-
-
-class TestTotalStress:
-    def test_reduces_to_equilibrium_without_rates(self):
-        st = ThermoState(theta=260.0, eps=0.05, theta_dot=-4.0, eps_dot=2.0)
-        assert total_stress(P, st) == equilibrium_stress(P, 260.0, 0.05)
-
-    def test_viscous_term(self):
-        p = P.with_(mu=1.0)
-        st = ThermoState(theta=300.0, eps=0.0, eps_dot=2.0)
-        assert total_stress(p, st) == pytest.approx(2.0)
-
-    def test_thermal_rate_term(self):
-        p = P.with_(nu=3.0)
-        st = ThermoState(theta=300.0, eps=0.0, theta_dot=-1.0)
-        assert total_stress(p, st) == pytest.approx(-3.0)
 
 
 class TestEntropy:
@@ -182,12 +164,6 @@ class TestParamValidation:
     def test_rejects_bad_params(self, bad):
         with pytest.raises(ValueError):
             MaterialParams1D(**bad)
-
-    def test_thermo_state_domain(self):
-        with pytest.raises(ValueError):
-            ThermoState(theta=-1.0, eps=0.0)
-        with pytest.raises(ValueError):
-            ThermoState(theta=300.0, eps=-1.5)
 
     def test_strain_energy_is_psi3(self):
         e = 0.11809

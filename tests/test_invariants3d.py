@@ -171,12 +171,6 @@ class TestCoefficients:
             c.psi0_at(250.0)
         assert c.psi0_at(600.0) == pytest.approx(0.0, abs=1e-12)
 
-    def test_dict_round_trip(self):
-        c = cu_based_3d()
-        assert FalkKonopkaCoeffs.from_dict(c.to_dict()) == c
-        with pytest.raises(ValueError):
-            FalkKonopkaCoeffs.from_dict({**c.to_dict(), "psi9_1_base": 1.0})
-
 
 class TestFreeEnergy3D:
     def test_zero_strain_without_thermal_part(self):
