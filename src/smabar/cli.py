@@ -284,6 +284,18 @@ class SimConfig:
             if not all(-1.0 <= y <= 1.0 for y in self.reconstruct_y):
                 raise ConfigError("[output] reconstruct_y values must lie "
                                   "in [-1, 1]")
+        else:
+            ini, mms = self.initial, self.mms
+            lowest = {"const": ini.theta_value,
+                      "cosine": ini.theta_value - abs(ini.theta_amplitude),
+                      "mms": mms.theta_bar - abs(mms.theta_amplitude),
+                      }[ini.theta_kind]
+            if lowest <= 0:
+                raise ConfigError(
+                    f"[initial] theta = {ini.theta_kind} falls to {lowest:g} K;"
+                    f" the initial temperature must be positive")
+            if self.bcs.thermal == "fixed_theta" and self.bcs.fixed_value <= 0:
+                raise ConfigError("[bcs] fixed_value must be positive")
         return self
 
     # -- resolution to runnable setups --------------------------------------

@@ -33,6 +33,13 @@ linear in the unknown rate and are eliminated pointwise.
 Integrators: classical explicit RK4 (default; subject to the CFL-style
 bound of `stable_dt`), and two fixed-step implicit one-step methods with a
 damped banded Newton solver, `implicit_euler` and `implicit_midpoint`.
+The Newton matrix I - w J is factored once per Jacobian build (banded LU,
+LAPACK gbtrf) and its factors are reused by every solve of the chord
+iterations that follow, across steps, until the chord iteration stalls
+(simplified Newton; Hairer & Wanner, Solving ODEs II, IV.8).  A singular
+factor or a non-finite solve is a failed solve, handled like a diverging
+iteration: the chord iteration gives way to Newton, and a failed Newton
+solve halves the step.
 Inside the spinodal strain band the frozen-coefficient problem is locally
 ill-posed for mu = gamma = 0 (the tangent modulus is negative), so
 grid-scale perturbations grow at a physical rate; the backward Euler
@@ -48,7 +55,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .constitutive import MaterialParams1D, conductivity, internal_energy, strain_energy
 
@@ -464,14 +471,41 @@ def _rk4_step(z: np.ndarray, t: float, dt: float, f: Callable) -> np.ndarray:
     return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _band_lu(ab: np.ndarray, hb: int):
+    """LU factors (lu, piv) of the matrix with hb sub- and super-diagonals
+    held in LAPACK gbtrf storage: ab[2 hb + i - j, j] = a[i, j], the first
+    hb rows being room for fill-in.  ab is overwritten.  None when an entry
+    is not finite or the matrix is singular."""
+    if not np.all(np.isfinite(ab)):
+        return None
+    lu, piv, info = dgbtrf(ab, hb, hb, overwrite_ab=True)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of gbtrf")
+    return (lu, piv) if info == 0 else None
+
+
+def _band_solve(factors, hb: int, b: np.ndarray) -> Optional[np.ndarray]:
+    """x with a x = b from _band_lu's factors of a; None when b or x is
+    not finite."""
+    if not np.all(np.isfinite(b)):
+        return None
+    x, info = dgbtrs(factors[0], hb, hb, b, factors[1])
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of gbtrs")
+    return x if np.all(np.isfinite(x)) else None
+
+
 class _ImplicitStepper:
     """Fixed-step implicit Euler / midpoint with damped banded Newton.
 
     The Jacobian is assembled by coloured finite differences in banded
-    storage and reused across steps while full Newton steps keep
-    converging.  A solution is accepted only if it is physically plausible
-    (finite, theta above 1 K, |eps| below 0.5); otherwise the step is
-    halved locally, which resolves snap-through transients.
+    storage, and the LU factors of I - w J are kept: every chord iteration
+    solves with them, across steps, while full steps keep converging.  A
+    singular factor or a non-finite solve is a failed solve.  A solution is
+    accepted only if it is physically plausible (finite, theta above 1 K,
+    |eps| below 0.5); when the Newton iteration fails or finds no plausible
+    solution the step is halved locally, which resolves snap-through
+    transients.
     """
 
     MAX_DEPTH = 12
@@ -481,14 +515,23 @@ class _ImplicitStepper:
         self.kind = kind
         # node reach of the stencil: 1 in the base case; the tau0
         # acceleration coupling and the nu rate elimination extend it to 2,
-        # the one-sided Ginsburg boundary closure to 3.
+        # the one-sided Ginsburg boundary closure to 3, and to 4 when the
+        # tau0 coupling differences that closure's accelerations.
         reach = 1
         if f.nf == 4 or f.p.nu != 0.0:
             reach = 2
         if f.p.gamma != 0.0:
-            reach = 3
-        self.half_bw = (reach + 1) * f.nf - 1
-        self.J = None
+            reach = 4 if f.nf == 4 else 3
+        self.half_bw = hb = (reach + 1) * f.nf - 1
+        # band entry (hb + o, j) holds row j + o of column j where that row
+        # exists; _banded_jacobian fills all of them in one scatter
+        n = f.nn * f.nf
+        cols = np.arange(n)
+        rows = cols + np.arange(-hb, hb + 1)[:, None]
+        self._in_band = (rows >= 0) & (rows < n)
+        self._band_rows = rows[self._in_band]
+        self._band_cols = np.broadcast_to(cols, rows.shape)[self._in_band]
+        self.lu = None
         scale = {3: (1e-2, 1e-1, 200.0), 4: (1e-2, 1e-1, 200.0, 10.0)}
         self.scales = np.array(scale[f.nf])
         self.nfe = 0
@@ -514,25 +557,28 @@ class _ImplicitStepper:
         n = z.size
         f0 = f(z, t)
         self.nfe += 1
-        ab = np.zeros((2 * hb + 1, n))
         ncol = 2 * hb + 1
         h = 1e-7 * np.maximum(np.abs(z), 1.0)
+        df = np.empty((ncol, n))
         for c in range(ncol):
-            idx = np.arange(c, n, ncol)
             zp = z.copy()
-            zp[idx] += h[idx]
-            df = f(zp, t) - f0
+            zp[c::ncol] += h[c::ncol]
+            df[c] = f(zp, t) - f0
             self.nfe += 1
-            for j in idx:
-                i0, i1 = max(0, j - hb), min(n, j + hb + 1)
-                ab[hb + np.arange(i0, i1) - j, j] = df[i0:i1] / h[j]
+        # column j was perturbed with colour j % ncol
+        cols = self._band_cols
+        ab = np.zeros((ncol, n))
+        ab[self._in_band] = df[cols % ncol, self._band_rows] / h[cols]
         return ab
 
-    def _system_matrix(self, z: np.ndarray, t: float, dt: float) -> np.ndarray:
+    def _system_matrix(self, z: np.ndarray, t: float, dt: float):
+        """_band_lu factors of I - w J(z, t), or None (see _band_lu)."""
         w = dt if self.kind == "implicit_euler" else 0.5 * dt
-        ab = -w * self._banded_jacobian(z, t)
-        ab[self.half_bw, :] += 1.0
-        return ab
+        hb = self.half_bw
+        ab = np.zeros((3 * hb + 1, z.size))
+        ab[hb:] = -w * self._banded_jacobian(z, t)
+        ab[2 * hb] += 1.0
+        return _band_lu(ab, hb)
 
     # -- one nonlinear solve -------------------------------------------------
 
@@ -577,14 +623,14 @@ class _ImplicitStepper:
         exist near snap-through events)."""
         resid, jac_point = self._residual_fn(z, t, dt)
         with np.errstate(over="ignore", invalid="ignore"):
-            # fast path: undamped chord iteration with the cached Jacobian
-            if self.J is not None:
+            # fast path: undamped chord iteration with the cached LU factors
+            if self.lu is not None:
                 zg = z.copy()
                 r = resid(zg)
                 rn = self._norm(r)
                 for _ in range(25):
-                    dz = solve_banded((self.half_bw, self.half_bw), self.J, -r)
-                    if not np.all(np.isfinite(dz)):
+                    dz = _band_solve(self.lu, self.half_bw, -r)
+                    if dz is None:
                         break
                     zg = zg + dz
                     if self._converged(dz):
@@ -596,7 +642,7 @@ class _ImplicitStepper:
                     if not rtn < rn:
                         break
                     rn = rtn
-                self.J = None
+                self.lu = None
 
             # robust path: damped Newton with a fresh Jacobian per
             # iteration.  Strong curvature (quadratic rate terms) can make
@@ -610,13 +656,13 @@ class _ImplicitStepper:
             damped = 0
             for _ in range(15):
                 zj, tj = jac_point(zg)
-                J = self._system_matrix(zj, tj, dt)
-                if not np.all(np.isfinite(J)):
+                lu = self._system_matrix(zj, tj, dt)
+                if lu is None:
                     return None
-                dz = solve_banded((self.half_bw, self.half_bw), J, -r)
-                if not np.all(np.isfinite(dz)):
+                dz = _band_solve(lu, self.half_bw, -r)
+                if dz is None:
                     return None
-                self.J = J               # cache for the next step's fast path
+                self.lu = lu             # cache for the next step's fast path
                 if self._converged(dz):
                     zg = zg + dz
                     return zg if self._plausible(zg) else None
@@ -631,11 +677,11 @@ class _ImplicitStepper:
                         break
                     lam *= 0.5
                 if not accepted:
-                    self.J = None
+                    self.lu = None
                     return None
                 damped += 1 if lam < 1.0 else 0
                 if damped >= 4:
-                    self.J = None
+                    self.lu = None
                     return None
         return None
 
@@ -649,7 +695,7 @@ class _ImplicitStepper:
             self.subdivided += 1
         z1 = self.advance(z, t, 0.5 * dt, depth + 1)
         z2 = self.advance(z1, t + 0.5 * dt, 0.5 * dt, depth + 1)
-        self.J = None
+        self.lu = None
         return z2
 
 

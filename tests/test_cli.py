@@ -263,14 +263,21 @@ FULL_1D = st.builds(
     material=dataclass_of(MaterialParams1D, "full_1d", ("material",),
                           positive=[f.name for f in fields(MaterialParams1D)]),
     gamma_negate=st.booleans(),
-    bcs=dataclass_of(BoundarySpec, "full_1d", ("bcs",), positive=["beta"],
+    bcs=dataclass_of(BoundarySpec, "full_1d", ("bcs",),
+                     positive=["beta", "fixed_value"],
                      mech=st.sampled_from(MECH_KINDS),
                      thermal=st.sampled_from(THERMAL_KINDS)),
     forcing=dataclass_of(ForcingSpec, "full_1d", ("forcing",)),
+    # initial temperatures stay positive (theta_value > |theta_amplitude|,
+    # and likewise for the mms theta)
     initial=dataclass_of(InitialSpec, "full_1d", ("initial",),
                          u_breakpoints=st.lists(st.tuples(NUM, NUM), min_size=2,
-                                                max_size=5).map(tuple)),
-    mms=dataclass_of(MmsSpec, "full_1d", ("mms",)),
+                                                max_size=5).map(tuple),
+                         theta_value=st.floats(1e3, 1e12),
+                         theta_amplitude=st.floats(-999.0, 999.0)),
+    mms=dataclass_of(MmsSpec, "full_1d", ("mms",),
+                     theta_bar=st.floats(1e3, 1e12),
+                     theta_amplitude=st.floats(-999.0, 999.0)),
     austenite_band=st.floats(1e-3, 0.05), martensite_band=st.floats(0.05, 0.5))
 
 
@@ -505,6 +512,25 @@ class TestMain:
         p.write_text("[model]\nkind = full_1d\nloose text\n")
         assert main(["run", "--config", str(p), "--out", str(tmp_path / "o"),
                      "--override", "time.dt=1"]) == 1
+
+    @pytest.mark.parametrize("overrides", [
+        ["initial.theta_value=-5.0"],
+        ["initial.theta_value=0"],
+        ["initial.theta=cosine", "initial.theta_amplitude=-250.0"],
+        ["initial.theta=mms", "mms.theta_bar=3.0"],
+        ["bcs.thermal=fixed_theta", "bcs.fixed_value=0"],
+    ], ids=["const_negative", "const_zero", "cosine_dips_to_zero",
+            "mms_dips_below_zero", "fixed_theta_zero"])
+    def test_non_positive_temperature_is_config_error(self, tmp_path, capsys,
+                                                      overrides):
+        p = tmp_path / "cold.ini"
+        p.write_text(MINIMAL)
+        argv = ["run", "--config", str(p), "--out", str(tmp_path / "o")]
+        for item in overrides:
+            argv += ["--override", item]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err and "Traceback" not in err
 
     def test_bad_override_exit_code(self, tmp_path, capsys):
         assert main(["run", "--preset", "conservation",

@@ -1,19 +1,30 @@
 """Staggered-grid solver checks: stencil exactness, conservation, BC
 fidelity, integrator consistency and failure handling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import LinAlgError, solve_banded
 
+from smabar import solver1d
+from smabar.cli import preset
 from smabar.constitutive import cu_based, equilibrium_stress
 from smabar.solver1d import (
+    MECH_KINDS,
+    THERMAL_KINDS,
     BoundarySpec,
     FieldState,
     Forcing,
     Grid1D,
     IntegrationError,
     RunSetup,
+    _band_lu,
+    _band_solve,
+    _ImplicitStepper,
     _node_average,
+    _Rhs,
     compute_stress,
     energy_budget,
     rhs,
@@ -218,6 +229,120 @@ class TestStep:
             step(st, -1.0, g, P, BoundarySpec(), Forcing.none())
         with pytest.raises(ValueError):
             step(st, 1e-3, g, P, BoundarySpec(), Forcing.none(), "verlet")
+
+
+JACOBIAN_CASES = [(mech, thermal, {}) for mech in MECH_KINDS
+                  for thermal in THERMAL_KINDS] + [
+    ("pinned", "insulated", {"tau0": 1e-3}),
+    ("pinned", "insulated", {"nu": 3.0}),
+    ("pinned", "insulated", {"mu": 2.5}),
+    ("stress_free", "insulated", {"gamma": 1e-6}),
+    ("pinned", "insulated", {"gamma": 1e-6}),
+    ("mixed", "controlled_flux", {"tau0": 1e-3, "nu": 3.0, "gamma": 1e-6}),
+]
+
+
+@st.composite
+def dominant_bands(draw):
+    """A strictly diagonally dominant matrix with hb sub- and
+    super-diagonals in solve_banded storage, and a right-hand side."""
+    hb = draw(st.sampled_from([5, 8, 11]))
+    n = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ab = rng.uniform(-1.0, 1.0, (2 * hb + 1, n))
+    ab[hb] = rng.choice([-1.0, 1.0], n) * (2 * hb + rng.uniform(0.5, 5.0, n))
+    return hb, ab, rng.uniform(-1e3, 1e3, n)
+
+
+def _lu_storage(ab, hb):
+    """solve_banded storage -> gbtrf storage (hb leading fill-in rows)."""
+    return np.vstack([np.zeros((hb, ab.shape[1])), ab])
+
+
+class TestImplicitSolver:
+    @pytest.mark.parametrize("mech, thermal, changed", JACOBIAN_CASES,
+                             ids=[f"{m}-{th}-{'-'.join(c) or 'base'}"
+                                  for m, th, c in JACOBIAN_CASES])
+    def test_coloured_jacobian_matches_dense_fd(self, mech, thermal, changed):
+        g = Grid1D(1.0, 8)
+        p = P.with_(**changed)
+        rng = np.random.default_rng(7)
+        n = g.nx + 1
+        state = FieldState(0.0, 1e-2 * rng.standard_normal(n),
+                           1e-1 * rng.standard_normal(n),
+                           300.0 + 5.0 * rng.standard_normal(n),
+                           rng.standard_normal(n) if p.tau0 > 0 else None)
+        bcs = BoundarySpec(mech, thermal, beta=0.5, theta_ambient=290.0)
+        f = _Rhs(g, p, bcs, Forcing.none())
+        stepper = _ImplicitStepper(f, "implicit_euler")
+        hb = stepper.half_bw
+        z = f.pack(state)
+        ab = stepper._banded_jacobian(z, 0.0)
+
+        # column-by-column FD with the same increments, no colouring
+        size = z.size
+        h = 1e-7 * np.maximum(np.abs(z), 1.0)
+        f0 = f(z, 0.0)
+        dense = np.empty((size, size))
+        for j in range(size):
+            zp = z.copy()
+            zp[j] += h[j]
+            dense[:, j] = (f(zp, 0.0) - f0) / h[j]
+        offset = np.subtract.outer(np.arange(size), np.arange(size))
+        assert not np.any(dense[np.abs(offset) > hb])
+
+        unpacked = np.zeros((size, size))
+        for o in range(-hb, hb + 1):
+            j = np.arange(max(0, -o), min(size, size - o))
+            unpacked[j + o, j] = ab[hb + o, j]
+        np.testing.assert_array_equal(unpacked, dense)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dominant_bands())
+    def test_factor_solve_matches_solve_banded(self, drawn):
+        hb, ab, b = drawn
+        x = _band_solve(_band_lu(_lu_storage(ab, hb), hb), hb, b)
+        np.testing.assert_array_equal(x, solve_banded((hb, hb), ab, b))
+
+    def test_singular_band_and_nan_rhs_fail(self):
+        hb, n = 5, 20
+        ab = np.ones((2 * hb + 1, n))
+        ab[hb] = 4.0 * hb
+        singular = ab.copy()
+        singular[:, 7] = 0.0                  # a zero column
+        with pytest.raises(LinAlgError):
+            solve_banded((hb, hb), singular, np.ones(n))
+        assert _band_lu(_lu_storage(singular, hb), hb) is None
+        nan_band = ab.copy()
+        nan_band[hb, 3] = np.nan
+        assert _band_lu(_lu_storage(nan_band, hb), hb) is None
+        factors = _band_lu(_lu_storage(ab, hb), hb)
+        b = np.ones(n)
+        b[4] = np.nan
+        assert _band_solve(factors, hb, b) is None
+        assert _band_solve(factors, hb, np.ones(n)) is not None
+
+    def test_one_factorisation_per_jacobian_build(self, monkeypatch):
+        counts = {"jacobian": 0, "factor": 0, "solve": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(_ImplicitStepper, "_banded_jacobian", counted(
+            "jacobian", _ImplicitStepper._banded_jacobian))
+        monkeypatch.setattr(solver1d, "_band_lu",
+                            counted("factor", solver1d._band_lu))
+        monkeypatch.setattr(solver1d, "_band_solve",
+                            counted("solve", solver1d._band_solve))
+        config = replace(preset("experiment1"), t_end=0.5)
+        assert config.integrator == "implicit_euler"
+        simulate(config.resolve())
+        assert counts["jacobian"] > 0
+        assert counts["factor"] == counts["jacobian"]
+        assert counts["solve"] > counts["jacobian"]
 
 
 def _vec(lo, hi, n):
