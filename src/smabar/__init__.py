@@ -54,6 +54,18 @@ from .solver1d import (
     stable_dt,
     step,
 )
-from .cli import ConfigError, SimConfig, load_config, preset, run, write_config
 
 __version__ = "0.1.0"
+
+# The cli names are served on first access (PEP 562), not imported here:
+# importing smabar.cli from the package would put it in sys.modules before
+# `python -m smabar.cli` runs it as __main__, which runpy warns about.
+_CLI_NAMES = ("ConfigError", "SimConfig", "load_config", "preset", "run",
+              "write_config")
+
+
+def __getattr__(name):
+    if name in _CLI_NAMES:
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

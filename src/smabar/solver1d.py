@@ -33,6 +33,11 @@ linear in the unknown rate and are eliminated pointwise.
 Integrators: classical explicit RK4 (default; subject to the CFL-style
 bound of `stable_dt`), and two fixed-step implicit one-step methods with a
 damped banded Newton solver, `implicit_euler` and `implicit_midpoint`.
+The banded Jacobian comes from coloured finite differences (Curtis, Powell
+and Reid): columns j with equal j mod (2 hb + 1) share a perturbation, and
+f(z) and all 2 hb + 1 coloured perturbations are evaluated in a single
+right-hand-side call on a stack of states, which gives each row the same
+bits as its own call would.
 The Newton matrix I - w J is factored once per Jacobian build (banded LU,
 LAPACK gbtrf) and its factors are reused by every solve of the chord
 iterations that follow, across steps, until the chord iteration stalls
@@ -152,7 +157,9 @@ class BoundarySpec:
 @dataclass
 class Forcing:
     """Body force F(x, t) in g/(ms^2 cm^2) and heat supply G(x, t) in
-    g/(ms^3 cm), both given as vectorised callables."""
+    g/(ms^3 cm), both given as vectorised callables that are elementwise in
+    x: the solver calls each once per right-hand side on all nodes and
+    slices the interior and end values from that result."""
 
     body: Callable[[np.ndarray, float], np.ndarray]
     heat: Callable[[np.ndarray, float], np.ndarray]
@@ -201,49 +208,44 @@ class FieldState:
 # spatial operators
 
 
-def _theta_ghosts(theta: np.ndarray, grid: Grid1D, params: MaterialParams1D,
-                  bcs: BoundarySpec, t: float) -> tuple[float, float]:
-    """Ghost temperatures one node beyond each end."""
-    dx = grid.dx
-    if bcs.thermal == "fixed_theta":
-        # Dirichlet rows are frozen; symmetric ghosts keep conduction finite.
-        return theta[1], theta[-2]
-    left = theta[1]                      # insulated left in both remaining cases
-    if bcs.thermal == "insulated":
-        right = theta[-2]
-    else:                                # controlled_flux at x = L
-        k_end = float(np.asarray(conductivity(params, theta[-1])))
-        right = theta[-2] - 2.0 * dx * bcs.beta * (theta[-1] - bcs.ambient(t)) / k_end
-    return left, right
-
-
 def _node_average(mid: np.ndarray) -> np.ndarray:
-    """Midpoint field -> node field: interior average, one-sided at ends.
+    """Midpoint field -> node field along the last axis: interior average,
+    one-sided at the ends.
 
     Under trapezoid node weights w this is the adjoint of the
     node-to-midpoint average, sum(w a <m>) = sum(m (a[1:] + a[:-1]) / 2),
     which is what makes the coupling exchange conservative.
     """
-    out = np.empty(mid.size + 1)
-    out[1:-1] = 0.5 * (mid[1:] + mid[:-1])
-    out[0] = mid[0]
-    out[-1] = mid[-1]
+    out = np.empty(mid.shape[:-1] + (mid.shape[-1] + 1,))
+    out[..., 1:-1] = 0.5 * (mid[..., 1:] + mid[..., :-1])
+    out[..., 0] = mid[..., 0]
+    out[..., -1] = mid[..., -1]
     return out
 
 
 def _fourth_difference(u: np.ndarray, dx: float) -> np.ndarray:
-    """5-point u_xxxx at every node, shifted one-sided near the ends."""
-    n = u.size
-    out = np.empty(n)
-    c = (u[:-4] - 4.0 * u[1:-3] + 6.0 * u[2:-2] - 4.0 * u[3:-1] + u[4:])
-    out[2:-2] = c
-    out[0] = out[1] = c[0] if c.size else 0.0
-    out[-1] = out[-2] = c[-1] if c.size else 0.0
+    """5-point u_xxxx at every node along the last axis (at least five
+    nodes), shifted one-sided near the ends."""
+    c = (u[..., :-4] - 4.0 * u[..., 1:-3] + 6.0 * u[..., 2:-2]
+         - 4.0 * u[..., 3:-1] + u[..., 4:])
+    out = np.empty(u.shape)
+    out[..., 2:-2] = c
+    out[..., :2] = c[..., :1]
+    out[..., -2:] = c[..., -1:]
     return out / dx ** 4
 
 
 class _Rhs:
-    """Flattened-state right-hand side with interleaved [u, v, theta(, w)]."""
+    """Flattened-state right-hand side with interleaved [u, v, theta(, w)].
+
+    z is one state of shape (n,) or a stack of B states of shape (B, n),
+    all at the same time t.  Every stencil runs along the last axis, so each
+    row of a stack goes through the floating-point operations of a single
+    call, in the same order, and gets a bit-identical derivative.  The
+    boundary branches, the ghost-temperature rule and the optional rate
+    terms (mu, nu, gamma, tau0) are resolved once, here; each call
+    evaluates forcing.heat and forcing.body once, at all nodes, and slices.
+    """
 
     def __init__(self, grid: Grid1D, params: MaterialParams1D,
                  bcs: BoundarySpec, forcing: Forcing, gamma_sign: float = 1.0):
@@ -251,11 +253,26 @@ class _Rhs:
         self.p = params
         self.bcs = bcs
         self.forcing = forcing
-        self.gamma_sign = gamma_sign
         self.nf = 4 if params.tau0 > 0 else 3
-        self.nn = grid.nx + 1
+        self.nn = nn = grid.nx + 1
         self.x = grid.nodes()
         self.dxi = 1.0 / grid.dx
+        self._gamma = gamma_sign * params.gamma
+        self._free_left = bcs.mech in ("stress_free", "mixed")
+        self._free_right = bcs.mech == "stress_free"
+        self._fixed_theta = bcs.thermal == "fixed_theta"
+        # k0 (1 + beta_tilde theta) is exactly k0 when beta_tilde = 0
+        self._k = params.k0 if params.beta_tilde == 0.0 else None
+        # theta[..., _pad] is theta with a ghost value one node beyond each
+        # end: theta[1] and theta[-2], i.e. zero flux (fixed_theta end rows
+        # are frozen; the symmetric ghosts just keep conduction finite).
+        # controlled_flux corrects the right ghost by the Robin term
+        # -2 dx beta (theta - theta_ambient) / k, which is zero for beta = 0.
+        self._pad = np.arange(-1, nn + 1)
+        self._pad[0], self._pad[-1] = 1, nn - 2
+        self._robin = (2.0 * grid.dx * bcs.beta
+                       if bcs.thermal == "controlled_flux" and bcs.beta != 0.0
+                       else None)
 
     # -- state packing ------------------------------------------------------
 
@@ -279,99 +296,108 @@ class _Rhs:
 
     # -- physics ------------------------------------------------------------
 
-    def _stress_and_rates(self, u, v, th, w, t):
-        p, dxi = self.p, self.dxi
-        eps = (u[1:] - u[:-1]) * dxi
-        deps = (v[1:] - v[:-1]) * dxi
-        th_m = 0.5 * (th[1:] + th[:-1])
+    def _theta_pad(self, th: np.ndarray, t: float) -> np.ndarray:
+        """theta with its ghost values prepended and appended."""
+        th_pad = th[..., self._pad]
+        if self._robin is not None:
+            end = th[..., -1]
+            k_end = self._k if self._k is not None else conductivity(self.p, end)
+            th_pad[..., -1] -= self._robin * (end - self.bcs.ambient(t)) / k_end
+        return th_pad
 
-        gl, gr = _theta_ghosts(th, self.grid, p, self.bcs, t)
-        th_pad = np.concatenate(([gl], th, [gr]))
-        k_m = conductivity(p, 0.5 * (th_pad[1:] + th_pad[:-1]))
-        flux = k_m * (th_pad[1:] - th_pad[:-1]) * dxi
-        cond = (flux[1:] - flux[:-1]) * dxi
+    def _stress_and_rates(self, Z: np.ndarray, t: float):
+        """Midpoint and node terms of the state Z = z.reshape(..., nn, nf)."""
+        p, dxi = self.p, self.dxi
+        rates = (Z[..., 1:, :2] - Z[..., :-1, :2]) * dxi
+        eps, deps = rates[..., 0], rates[..., 1]
+        th = Z[..., 2]
+        th_m = 0.5 * (th[..., 1:] + th[..., :-1])
+
+        th_pad = self._theta_pad(th, t)
+        k_m = self._k
+        if k_m is None:
+            k_m = conductivity(p, 0.5 * (th_pad[..., 1:] + th_pad[..., :-1]))
+        flux = k_m * (th_pad[..., 1:] - th_pad[..., :-1]) * dxi
+        cond = (flux[..., 1:] - flux[..., :-1]) * dxi
 
         coupling = _node_average(th_m * eps * deps)
         g_heat = self.forcing.heat(self.x, t)
-
-        heat_src = cond + p.k1 * coupling + g_heat
-        if p.mu != 0.0:
-            heat_src = heat_src + p.mu * _node_average(deps * deps)
+        dd_n = _node_average(deps * deps) if p.mu != 0.0 else None
         deps_n = _node_average(deps) if p.nu != 0.0 else None
 
-        if w is None:
-            denom = p.cv - p.nu * deps_n if p.nu != 0.0 else p.cv
-            if p.nu != 0.0 and np.any(denom <= 0):
-                raise IntegrationError(t, "degenerate nu coupling (C_v - nu eps_dot <= 0)")
+        if self.nf == 3:
+            heat_src = cond + p.k1 * coupling + g_heat
+            if p.mu != 0.0:
+                heat_src = heat_src + p.mu * dd_n
+            if p.nu != 0.0:
+                denom = p.cv - p.nu * deps_n
+                if (denom <= 0).any():
+                    raise IntegrationError(t, "degenerate nu coupling (C_v - nu eps_dot <= 0)")
+            else:
+                denom = p.cv
             th_t = heat_src / denom
-            if self.bcs.thermal == "fixed_theta":
-                th_t[0] = th_t[-1] = 0.0
+            if self._fixed_theta:
+                th_t[..., 0] = th_t[..., -1] = 0.0
         else:
-            th_t = w
+            th_t = Z[..., 3]
 
-        s = eps * (p.k1 * (th_m - p.theta1) + eps * eps * (-p.k2 + eps * eps * p.k3))
+        e2 = eps * eps
+        s = eps * (p.k1 * (th_m - p.theta1) + e2 * (-p.k2 + e2 * p.k3))
         if p.mu != 0.0:
             s = s + p.mu * deps
         if p.nu != 0.0:
-            s = s + p.nu * 0.5 * (th_t[1:] + th_t[:-1])
-        return eps, deps, deps_n, th_m, cond, coupling, g_heat, heat_src, th_t, s
+            s = s + p.nu * 0.5 * (th_t[..., 1:] + th_t[..., :-1])
+        return eps, deps, deps_n, dd_n, th_m, cond, coupling, g_heat, th_t, s
 
     def __call__(self, z: np.ndarray, t: float) -> np.ndarray:
-        p, dxi, nn = self.p, self.dxi, self.nn
-        Z = z.reshape(nn, self.nf)
-        u, v, th = Z[:, 0], Z[:, 1], Z[:, 2]
-        w = Z[:, 3] if self.nf == 4 else None
+        p, dxi = self.p, self.dxi
+        Z = z.reshape(z.shape[:-1] + (self.nn, self.nf))
+        (eps, deps, deps_n, dd_n, th_m, cond, coupling,
+         g_heat, th_t, s) = self._stress_and_rates(Z, t)
+        body = self.forcing.body(self.x, t)
 
-        (eps, deps, deps_n, th_m, cond, coupling,
-         g_heat, heat_src, th_t, s) = self._stress_and_rates(u, v, th, w, t)
-
-        dZ = np.empty_like(Z)
-        dZ[:, 0] = v
-        accel = np.zeros(nn)
-        accel[1:-1] = (s[1:] - s[:-1]) * dxi + self.forcing.body(self.x[1:-1], t)
+        dZ = np.empty(Z.shape)
+        dZ[..., 0] = Z[..., 1]
+        accel = dZ[..., 1]
+        interior = (s[..., 1:] - s[..., :-1]) * dxi + body[1:-1]
         if p.gamma != 0.0:
-            accel[1:-1] += self.gamma_sign * p.gamma * _fourth_difference(u, self.grid.dx)[1:-1]
-        if self.bcs.mech in ("stress_free", "mixed"):
-            accel[0] = 2.0 * s[0] * dxi + float(self.forcing.body(self.x[:1], t)[0])
-        if self.bcs.mech == "stress_free":
-            accel[-1] = -2.0 * s[-1] * dxi + float(self.forcing.body(self.x[-1:], t)[0])
-        accel /= p.rho
-        if self.bcs.mech in ("pinned", "mixed"):
-            accel[-1] = 0.0
-            dZ[-1, 0] = 0.0
-        if self.bcs.mech == "pinned":
-            accel[0] = 0.0
-            dZ[0, 0] = 0.0
-        dZ[:, 1] = accel
-
+            interior += self._gamma * _fourth_difference(Z[..., 0], self.grid.dx)[..., 1:-1]
+        np.divide(interior, p.rho, out=accel[..., 1:-1])
+        if self._free_left:
+            accel[..., 0] = (2.0 * s[..., 0] * dxi + body[0]) / p.rho
+        else:                            # pinned: u and v held
+            dZ[..., 0, :2] = 0.0
+        if self._free_right:
+            accel[..., -1] = (-2.0 * s[..., -1] * dxi + body[-1]) / p.rho
+        else:
+            dZ[..., -1, :2] = 0.0
+        dZ[..., 2] = th_t
         if self.nf == 3:
-            dZ[:, 2] = th_t
-            return dZ.ravel()
+            return dZ.reshape(z.shape)
 
         # tau0 > 0: (theta, theta_dot) pair with pointwise elimination of
         # the rates; strain acceleration comes from the momentum RHS.
-        dZ[:, 2] = w
-        edd = (accel[1:] - accel[:-1]) * dxi
-        w_m = 0.5 * (w[1:] + w[:-1])
+        w = Z[..., 3]
+        edd = (accel[..., 1:] - accel[..., :-1]) * dxi
+        w_m = 0.5 * (w[..., 1:] + w[..., :-1])
         relax = _node_average(w_m * eps * deps + th_m * deps * deps
                               + th_m * eps * edd)
         numer = -p.cv * w + p.k1 * (coupling + p.tau0 * relax) + cond + g_heat
         if p.mu != 0.0:
-            numer = numer + p.mu * (_node_average(deps * deps)
-                                    + p.tau0 * _node_average(2.0 * deps * edd))
+            numer = numer + p.mu * (dd_n + p.tau0 * _node_average(2.0 * deps * edd))
         if p.nu != 0.0:
             edd_n = _node_average(edd)
             numer = numer + p.nu * w * (deps_n + p.tau0 * edd_n)
             denom = p.tau0 * (p.cv - p.nu * deps_n)
-            if np.any(denom <= 0):
+            if (denom <= 0).any():
                 raise IntegrationError(t, "degenerate nu coupling (C_v - nu eps_dot <= 0)")
         else:
             denom = p.tau0 * p.cv
-        w_t = numer / denom
-        if self.bcs.thermal == "fixed_theta":
-            w_t[0] = w_t[-1] = 0.0
-        dZ[:, 3] = w_t
-        return dZ.ravel()
+        w_t = dZ[..., 3]
+        np.divide(numer, denom, out=w_t)
+        if self._fixed_theta:
+            w_t[..., 0] = w_t[..., -1] = 0.0
+        return dZ.reshape(z.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +417,8 @@ def compute_stress(state: FieldState, grid: Grid1D, params: MaterialParams1D,
     """
     state.validate(grid, params)
     f = _Rhs(grid, params, bcs or BoundarySpec(), forcing or Forcing.none())
-    w = state.theta_dot if params.tau0 > 0 else None
-    out = f._stress_and_rates(state.u, state.v, state.theta, w, state.t)
-    return out[-1]
+    Z = f.pack(state).reshape(f.nn, f.nf)
+    return f._stress_and_rates(Z, state.t)[-1]
 
 
 def rhs(state: FieldState, grid: Grid1D, params: MaterialParams1D,
@@ -476,7 +501,7 @@ def _band_lu(ab: np.ndarray, hb: int):
     held in LAPACK gbtrf storage: ab[2 hb + i - j, j] = a[i, j], the first
     hb rows being room for fill-in.  ab is overwritten.  None when an entry
     is not finite or the matrix is singular."""
-    if not np.all(np.isfinite(ab)):
+    if not np.isfinite(ab).all():
         return None
     lu, piv, info = dgbtrf(ab, hb, hb, overwrite_ab=True)
     if info < 0:
@@ -487,25 +512,27 @@ def _band_lu(ab: np.ndarray, hb: int):
 def _band_solve(factors, hb: int, b: np.ndarray) -> Optional[np.ndarray]:
     """x with a x = b from _band_lu's factors of a; None when b or x is
     not finite."""
-    if not np.all(np.isfinite(b)):
+    if not np.isfinite(b).all():
         return None
     x, info = dgbtrs(factors[0], hb, hb, b, factors[1])
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of gbtrs")
-    return x if np.all(np.isfinite(x)) else None
+    return x if np.isfinite(x).all() else None
 
 
 class _ImplicitStepper:
     """Fixed-step implicit Euler / midpoint with damped banded Newton.
 
     The Jacobian is assembled by coloured finite differences in banded
-    storage, and the LU factors of I - w J are kept: every chord iteration
-    solves with them, across steps, while full steps keep converging.  A
-    singular factor or a non-finite solve is a failed solve.  A solution is
-    accepted only if it is physically plausible (finite, theta above 1 K,
-    |eps| below 0.5); when the Newton iteration fails or finds no plausible
-    solution the step is halved locally, which resolves snap-through
-    transients.
+    storage: z and its 2 hb + 1 coloured perturbations form one (2 hb + 2,
+    n) stack, evaluated by a single _Rhs call; nfe counts each row of it as
+    one evaluation.  The LU factors of I - w J are kept: every chord
+    iteration solves with them, across steps, while full steps keep
+    converging.  A singular factor or a non-finite solve is a failed solve.
+    A solution is accepted only if it is physically plausible (finite,
+    theta above 1 K, |eps| below 0.5); when the Newton iteration fails or
+    finds no plausible solution the step is halved locally, which resolves
+    snap-through transients.
     """
 
     MAX_DEPTH = 12
@@ -531,17 +558,18 @@ class _ImplicitStepper:
         self._in_band = (rows >= 0) & (rows < n)
         self._band_rows = rows[self._in_band]
         self._band_cols = np.broadcast_to(cols, rows.shape)[self._in_band]
+        self._colour = cols % (2 * hb + 1)
         self.lu = None
         scale = {3: (1e-2, 1e-1, 200.0), 4: (1e-2, 1e-1, 200.0, 10.0)}
-        self.scales = np.array(scale[f.nf])
+        self._scale = np.tile(scale[f.nf], f.nn)
         self.nfe = 0
         self.subdivided = 0
 
     # -- helpers -----------------------------------------------------------
 
     def _norm(self, r: np.ndarray) -> float:
-        val = np.max(np.abs(r.reshape(-1, self.f.nf)) / self.scales)
-        return float(val) if np.isfinite(val) else np.inf
+        val = float((np.abs(r) / self._scale).max())
+        return val if val < np.inf else np.inf      # nan -> inf
 
     def _plausible(self, z: np.ndarray) -> bool:
         if not np.all(np.isfinite(z)):
@@ -555,17 +583,15 @@ class _ImplicitStepper:
     def _banded_jacobian(self, z: np.ndarray, t: float) -> np.ndarray:
         f, hb = self.f, self.half_bw
         n = z.size
-        f0 = f(z, t)
-        self.nfe += 1
         ncol = 2 * hb + 1
         h = 1e-7 * np.maximum(np.abs(z), 1.0)
-        df = np.empty((ncol, n))
-        for c in range(ncol):
-            zp = z.copy()
-            zp[c::ncol] += h[c::ncol]
-            df[c] = f(zp, t) - f0
-            self.nfe += 1
-        # column j was perturbed with colour j % ncol
+        # row 0 is z, row 1 + c is z with every column of colour c perturbed
+        # (column j has colour j % ncol); one call evaluates all the rows
+        zs = np.tile(z, (ncol + 1, 1))
+        zs[1 + self._colour, np.arange(n)] += h
+        fs = f(zs, t)
+        self.nfe += ncol + 1
+        df = fs[1:] - fs[0]
         cols = self._band_cols
         ab = np.zeros((ncol, n))
         ab[self._in_band] = df[cols % ncol, self._band_rows] / h[cols]
@@ -725,7 +751,7 @@ def _stepper(f: _Rhs, integrator: str):
 def _accept(z: np.ndarray, t: float, unpack):
     """The state a step ended in at time t, or IntegrationError(t) when its
     values are not finite or unpack's state check (ValueError) rejects it."""
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise IntegrationError(t, "non-finite values (stability violation)")
     try:
         return unpack(z, t)

@@ -239,7 +239,9 @@ JACOBIAN_CASES = [(mech, thermal, {}) for mech in MECH_KINDS
     ("stress_free", "insulated", {"gamma": 1e-6}),
     ("pinned", "insulated", {"gamma": 1e-6}),
     ("mixed", "controlled_flux", {"tau0": 1e-3, "nu": 3.0, "gamma": 1e-6}),
+    ("pinned", "controlled_flux", {"beta_tilde": 1e-3}),
 ]
+JACOBIAN_IDS = [f"{m}-{th}-{'-'.join(c) or 'base'}" for m, th, c in JACOBIAN_CASES]
 
 
 @st.composite
@@ -261,8 +263,7 @@ def _lu_storage(ab, hb):
 
 class TestImplicitSolver:
     @pytest.mark.parametrize("mech, thermal, changed", JACOBIAN_CASES,
-                             ids=[f"{m}-{th}-{'-'.join(c) or 'base'}"
-                                  for m, th, c in JACOBIAN_CASES])
+                             ids=JACOBIAN_IDS)
     def test_coloured_jacobian_matches_dense_fd(self, mech, thermal, changed):
         g = Grid1D(1.0, 8)
         p = P.with_(**changed)
@@ -323,7 +324,8 @@ class TestImplicitSolver:
         assert _band_solve(factors, hb, np.ones(n)) is not None
 
     def test_one_factorisation_per_jacobian_build(self, monkeypatch):
-        counts = {"jacobian": 0, "factor": 0, "solve": 0}
+        counts = {"jacobian": 0, "factor": 0, "solve": 0, "rhs": 0,
+                  "heat": 0, "body": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -331,18 +333,87 @@ class TestImplicitSolver:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(_ImplicitStepper, "_banded_jacobian", counted(
-            "jacobian", _ImplicitStepper._banded_jacobian))
+        rhs_per_build = []
+
+        def jacobian(self, z, t):
+            before = counts["rhs"]
+            out = banded_jacobian(self, z, t)
+            rhs_per_build.append(counts["rhs"] - before)
+            return out
+
+        banded_jacobian = counted("jacobian", _ImplicitStepper._banded_jacobian)
+        monkeypatch.setattr(_ImplicitStepper, "_banded_jacobian", jacobian)
+        monkeypatch.setattr(_Rhs, "__call__", counted("rhs", _Rhs.__call__))
         monkeypatch.setattr(solver1d, "_band_lu",
                             counted("factor", solver1d._band_lu))
         monkeypatch.setattr(solver1d, "_band_solve",
                             counted("solve", solver1d._band_solve))
         config = replace(preset("experiment1"), t_end=0.5)
         assert config.integrator == "implicit_euler"
-        simulate(config.resolve())
+        setup = config.resolve()
+        setup.forcing.heat = counted("heat", setup.forcing.heat)
+        setup.forcing.body = counted("body", setup.forcing.body)
+        simulate(setup)
         assert counts["jacobian"] > 0
         assert counts["factor"] == counts["jacobian"]
         assert counts["solve"] > counts["jacobian"]
+        # f0 and every colour of a build go through one stacked RHS call,
+        # and each RHS call evaluates each forcing callable once
+        assert rhs_per_build == [1] * counts["jacobian"]
+        assert counts["heat"] == counts["body"] == counts["rhs"]
+
+
+def _random_stack(seed, p, nx, rows):
+    """rows random flattened bar states (interleaved [u, v, theta(, w)])."""
+    rng = np.random.default_rng(seed)
+    n = nx + 1
+    fields = [1e-2 * rng.standard_normal((rows, n)),
+              1e-1 * rng.standard_normal((rows, n)),
+              300.0 + 5.0 * rng.standard_normal((rows, n))]
+    if p.tau0 > 0:
+        fields.append(rng.standard_normal((rows, n)))
+    return np.stack(fields, axis=-1).reshape(rows, -1)
+
+
+WAVY = Forcing(lambda x, t: 50.0 * np.sin(3.0 * x + t),
+               lambda x, t: 20.0 * np.cos(2.0 * x - t) ** 2)
+
+
+class TestBatchedRhs:
+    """_Rhs on a (B, n) stack is B single calls, bit for bit."""
+
+    @pytest.mark.parametrize("mech, thermal, changed", JACOBIAN_CASES,
+                             ids=JACOBIAN_IDS)
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), nx=st.integers(4, 12),
+           rows=st.integers(1, 5), t=st.floats(0.0, 10.0))
+    def test_stack_matches_single_calls(self, mech, thermal, changed,
+                                        seed, nx, rows, t):
+        p = P.with_(**changed)
+        bcs = BoundarySpec(mech, thermal, beta=0.5,
+                           theta_ambient=lambda s: 290.0 + s)
+        f = _Rhs(Grid1D(1.0, nx), p, bcs, WAVY)
+        zs = _random_stack(seed, p, nx, rows)
+        singles = np.stack([f(z, t) for z in zs])
+        batched = f(zs, t)
+        assert batched.shape == zs.shape
+        np.testing.assert_array_equal(batched.view(np.int64),
+                                      singles.view(np.int64))
+
+    @pytest.mark.parametrize("tau0", [0.0, 1e-3])
+    def test_nu_degenerate_row_aborts_the_stack(self, tau0):
+        nx = 8
+        p = P.with_(nu=3.0, tau0=tau0)
+        f = _Rhs(Grid1D(1.0, nx), p, BoundarySpec(), Forcing.none())
+        zs = _random_stack(3, p, nx, 3)
+        for z in zs:
+            assert np.all(np.isfinite(f(z, 0.0)))
+        # eps_dot = 20 > C_v / nu everywhere in the middle row
+        zs.reshape(3, nx + 1, -1)[1, :, 1] = 20.0 * Grid1D(1.0, nx).nodes()
+        with pytest.raises(IntegrationError):
+            f(zs[1], 0.0)
+        with pytest.raises(IntegrationError):
+            f(zs, 0.0)
 
 
 def _vec(lo, hi, n):
