@@ -6,7 +6,7 @@ Subpackages:
 * invariants3d -- cubic-group strain invariants and the 3D free energy
 * solver1d     -- staggered-grid method-of-lines solver for the coupled bar
 * slab         -- centre-manifold reduced model of a thin slab
-* manufactured -- symbolic manufactured-solution harness
+* manufactured -- closed-form manufactured-solution harness (numpy)
 * cli          -- config files, presets, run orchestration (`sma` command)
 """
 

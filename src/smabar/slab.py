@@ -158,8 +158,8 @@ class SlabState:
         for name in ("U2", "V1", "V2", "Th"):
             if getattr(self, name).size != n:
                 raise ValueError("slab state arrays must have equal length")
-        if np.any(self.Th <= -300.0):
-            raise ValueError("ThetaPrime must stay above -300 K")
+        if not ((self.Th > -300.0) & (self.Th < np.inf)).all():
+            raise ValueError("ThetaPrime must stay finite and above -300 K")
         return self
 
     def copy(self) -> "SlabState":

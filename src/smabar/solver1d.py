@@ -572,13 +572,13 @@ class _ImplicitStepper:
         return val if val < np.inf else np.inf      # nan -> inf
 
     def _plausible(self, z: np.ndarray) -> bool:
-        if not np.all(np.isfinite(z)):
+        if not np.isfinite(z).all():
             return False
         Z = z.reshape(-1, self.f.nf)
         if Z[:, 2].min() <= _THETA_FLOOR:
             return False
-        eps = np.abs(np.diff(Z[:, 0])).max() / self.f.grid.dx
-        return eps < _EPS_CEIL
+        u = Z[:, 0]
+        return abs(u[1:] - u[:-1]).max() / self.f.grid.dx < _EPS_CEIL
 
     def _banded_jacobian(self, z: np.ndarray, t: float) -> np.ndarray:
         f, hb = self.f, self.half_bw

@@ -168,6 +168,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             st.validate()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -300.0])
+    def test_state_theta_must_be_finite_and_above_floor(self, bad):
+        st = uniform_state()
+        assert st.validate() is st
+        st.Th[5] = bad
+        with pytest.raises(ValueError, match="finite and above -300 K"):
+            st.validate()
+
     def test_setup_array_length_matches_ends(self):
         with pytest.raises(ValueError):
             SlabRunSetup(P, L, NX, uniform_state(n=NX), 1e-4, 1e-3, 1e-3,

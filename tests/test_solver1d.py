@@ -20,6 +20,8 @@ from smabar.solver1d import (
     Grid1D,
     IntegrationError,
     RunSetup,
+    _EPS_CEIL,
+    _THETA_FLOOR,
     _band_lu,
     _band_solve,
     _ImplicitStepper,
@@ -256,6 +258,49 @@ def dominant_bands(draw):
     return hb, ab, rng.uniform(-1e3, 1e3, n)
 
 
+def _plausible_reference(stepper, z):
+    """_ImplicitStepper._plausible as first written, with np.all/np.diff."""
+    if not np.all(np.isfinite(z)):
+        return False
+    Z = z.reshape(-1, stepper.f.nf)
+    if Z[:, 2].min() <= _THETA_FLOOR:
+        return False
+    eps = np.abs(np.diff(Z[:, 0])).max() / stepper.f.grid.dx
+    return eps < _EPS_CEIL
+
+
+def _stepper(nx, tau0=0.0):
+    f = _Rhs(Grid1D(1.0, nx), P.with_(tau0=tau0), BoundarySpec(),
+             Forcing.none())
+    return _ImplicitStepper(f, "implicit_euler")
+
+
+@st.composite
+def plausibility_probes(draw):
+    """A stepper and a packed state that lands on every branch of the
+    plausibility test and on its edges: NaN and +-inf anywhere, theta at
+    the floor and strain at the ceiling (u moves in steps of dx / 16, exact
+    in binary on the power-of-two grids)."""
+    nx = draw(st.sampled_from([4, 8, 5]))
+    stepper = _stepper(nx, draw(st.sampled_from([0.0, 1e-3])))
+    n, nf = nx + 1, stepper.f.nf
+    dx = stepper.f.grid.dx
+    steps = draw(st.lists(st.integers(-9, 9), min_size=nx, max_size=nx))
+    Z = np.empty((n, nf))
+    Z[:, 0] = np.concatenate([[0.0], np.cumsum(steps) * (dx / 16)])
+    rest = draw(st.lists(st.floats(-1e3, 1e3), min_size=n * (nf - 1),
+                         max_size=n * (nf - 1)))
+    Z[:, 1:] = np.reshape(rest, (n, nf - 1))
+    Z[:, 2] = draw(st.lists(st.floats(2.0, 600.0), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        Z[draw(st.integers(0, nx)), 2] = draw(st.sampled_from(
+            [_THETA_FLOOR, np.nextafter(_THETA_FLOOR, 2.0), 0.5]))
+    for _ in range(draw(st.integers(0, 2))):
+        Z[draw(st.integers(0, nx)), draw(st.integers(0, nf - 1))] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+    return stepper, Z.ravel()
+
+
 def _lu_storage(ab, hb):
     """solve_banded storage -> gbtrf storage (hb leading fill-in rows)."""
     return np.vstack([np.zeros((hb, ab.shape[1])), ab])
@@ -322,6 +367,29 @@ class TestImplicitSolver:
         b[4] = np.nan
         assert _band_solve(factors, hb, b) is None
         assert _band_solve(factors, hb, np.ones(n)) is not None
+
+    @settings(max_examples=400, deadline=None)
+    @given(plausibility_probes())
+    def test_plausible_matches_reference(self, drawn):
+        stepper, z = drawn
+        assert stepper._plausible(z) == _plausible_reference(stepper, z)
+
+    @pytest.mark.parametrize("edit, expected", [
+        ((2, 2, np.nan), False), ((3, 1, np.inf), False),
+        ((4, 0, -np.inf), False), ((6, 2, _THETA_FLOOR), False),
+        ((6, 2, np.nextafter(_THETA_FLOOR, 2.0)), True),
+        ((5, 0, _EPS_CEIL / 8), False),
+        ((5, 0, np.nextafter(_EPS_CEIL / 8, 0.0)), True),
+    ])
+    def test_plausible_edges(self, edit, expected):
+        stepper = _stepper(8)              # dx = 1/8: the strain is exact
+        Z = np.zeros((9, 3))
+        Z[:, 2] = 300.0
+        node, column, value = edit
+        Z[node, column] = value
+        z = Z.ravel()
+        assert stepper._plausible(z) == _plausible_reference(stepper, z)
+        assert stepper._plausible(z) == expected
 
     def test_one_factorisation_per_jacobian_build(self, monkeypatch):
         counts = {"jacobian": 0, "factor": 0, "solve": 0, "rhs": 0,
