@@ -373,7 +373,11 @@ class SimConfig:
             2.0 * np.pi * spec.mode * x / length)
 
     def resolve(self):
-        """Build the runnable setup (RunSetup or SlabRunSetup)."""
+        """Build the runnable setup (RunSetup or SlabRunSetup).
+
+        A full_1d RK4 run whose dt exceeds solver1d.stable_dt of the
+        initial state (its pinned and fixed_theta end values set) is a
+        ConfigError: it could only overflow."""
         self.validate()
         if self.model == "slab":
             n = self.nx if self.ends == "periodic" else self.nx + 1
@@ -391,10 +395,18 @@ class SimConfig:
                                 self.output_interval, self.ends)
         grid = Grid1D(self.length, self.nx)
         case = self._mms_case() if self.needs_mms else None
+        state0 = self._initial_state(grid, case)
+        if self.integrator == "rk4":
+            bound = solver1d.stable_dt(
+                solver1d._clamp_ends(state0.copy(), self.bcs), grid,
+                self.material)
+            if self.dt > bound:
+                raise ConfigError(
+                    f"[time] dt = {self.dt:.6g} ms exceeds the RK4 stable "
+                    f"step {bound:.6g} ms of the initial state")
         return RunSetup(grid, self.material, self.bcs, self._forcing(case),
-                        self._initial_state(grid, case), self.dt, self.t_end,
-                        self.output_interval, self.integrator,
-                        -1.0 if self.gamma_negate else 1.0)
+                        state0, self.dt, self.t_end, self.output_interval,
+                        self.integrator, -1.0 if self.gamma_negate else 1.0)
 
 
 _DEFAULTS = SimConfig()
@@ -704,11 +716,12 @@ def _write_slab_artifacts(out_dir, config, setup, traj):
     if config.reconstruct_y:
         rows = []
         for st in traj.snapshots:
-            for yv in config.reconstruct_y:
-                u1, u2, th = reconstruct_fields(st, setup.params, yv,
-                                                setup.dx, setup.ends)
+            u1, u2, th = reconstruct_fields(st, setup.params,
+                                            config.reconstruct_y, setup.dx,
+                                            setup.ends)
+            for j, yv in enumerate(config.reconstruct_y):
                 for i in range(n):
-                    rows.append((st.t, x[i], yv, u1[i], u2[i], th[i]))
+                    rows.append((st.t, x[i], yv, u1[j, i], u2[j, i], th[j, i]))
         _write_rows(os.path.join(out_dir, "reconstruction.csv"),
                     "t,x,Y,u1,u2,theta", rows)
     lines = [f"t={d[0]:.6g} max_abs_U1x={d[1]:.6g} max_abs_U2x={d[2]:.6g} "

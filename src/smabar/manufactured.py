@@ -54,16 +54,21 @@ def build_mms_case(params: MaterialParams1D, length: float = 1.0,
     """Construct the manufactured case for the given material constants.
 
     Requires the simplified regime tau0 = mu = nu = gamma = 0 (raises
-    otherwise).
+    otherwise).  The callables cache sin(kx) and cos(kx) of the last x by
+    identity (the solver passes one node vector): do not change x in place.
     """
     if params.tau0 != 0 or params.mu != 0 or params.nu != 0 or params.gamma != 0:
         raise ValueError("manufactured case covers tau0 = mu = nu = gamma = 0")
     p, k = params, math.pi / length
     a, b, wu, wt = u_amplitude, theta_amplitude, omega_u, omega_t
 
+    last = [None, None]    # the x last seen and its read-only [sin, cos]
     def modes(x):
-        kx = k * np.asarray(x, dtype=float)
-        return np.sin(kx), np.cos(kx)
+        if x is not last[0]:
+            kx = k * np.asarray(x, dtype=float)
+            last[:] = x, np.stack([np.sin(kx), np.cos(kx)])
+            last[1].flags.writeable = False
+        return last[1]
 
     def body(x, t):
         s, c = modes(x)

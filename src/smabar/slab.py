@@ -49,6 +49,11 @@ threshold.  Run configs (`cli`) with a finer grid are rejected when read.
 End conditions: periodic (default, used by the dispersion tests) or
 pinned-insulated (U_i = V_i = 0 and dTh/dx = 0 at the ends, applied through
 odd/even ghost extensions), a leading approximation for physical runs.
+
+`_SlabRhs` resolves the end treatment once per run and pads all five fields
+with one indexed gather; the right-hand side, the diagnostics and the
+reconstruction take every field derivative from it.  Each RK4 stage state
+must pass the ThetaPrime check of SlabState.validate.
 """
 
 from __future__ import annotations
@@ -70,6 +75,7 @@ __all__ = [
 ]
 
 ENDS = ("periodic", "pinned_insulated")
+_THETA_RANGE = "ThetaPrime must stay finite and above -300 K"
 
 
 @dataclass(frozen=True)
@@ -159,7 +165,7 @@ class SlabState:
             if getattr(self, name).size != n:
                 raise ValueError("slab state arrays must have equal length")
         if not ((self.Th > -300.0) & (self.Th < np.inf)).all():
-            raise ValueError("ThetaPrime must stay finite and above -300 K")
+            raise ValueError(_THETA_RANGE)
         return self
 
     def copy(self) -> "SlabState":
@@ -171,52 +177,76 @@ class SlabState:
 
 
 # ---------------------------------------------------------------------------
-# finite differences with the two supported end treatments
+# the right-hand side, with the end treatment resolved once
 
 
-def _pad(a: np.ndarray, ends: str, odd: bool, width: int = 2) -> np.ndarray:
-    if ends == "periodic":
-        return np.concatenate([a[-width:], a, a[:width]])
-    # pinned_insulated: odd extension about the end values for U and V
-    # (which are zero there), even extension for ThetaPrime.
-    sign = -1.0 if odd else 1.0
-    left = sign * a[width:0:-1]
-    right = sign * a[-2:-2 - width:-1]
-    return np.concatenate([left, a, right])
+class _SlabRhs:
+    """dz/dt for z = (U1, U2, V1, V2, ThetaPrime) of shape (5, n), as one
+    new (5, n) array.  Raises IntegrationError(t) for a stage ThetaPrime
+    that SlabState.validate rejects and for a non-finite dV1, dV2 or dTh."""
 
+    def __init__(self, params: SlabParams, dx: float, ends: str, n: int):
+        if ends not in ENDS:
+            raise ValueError(f"ends must be one of {ENDS}")
+        self.p, self.dx = params, dx
+        # two ghost nodes per end: wrapped around, or mirrored about the end
+        # node and negated for U and V (odd), not for ThetaPrime (even)
+        i, self.sign = np.arange(n), None
+        if ends == "periodic":
+            self.idx = np.concatenate([i[-2:], i, i[:2]])
+        else:
+            self.idx = np.concatenate([i[2:0:-1], i, i[-2:-4:-1]])
+            self.sign = np.ones((5, n + 4))
+            self.sign[:4, [0, 1, -2, -1]] = -1.0
 
-def _dx1(ap: np.ndarray, dx: float) -> np.ndarray:
-    return (ap[3:-1] - ap[1:-3]) / (2.0 * dx)
+    def differences(self, a: np.ndarray, odd: bool = True) -> tuple:
+        """Centred 1st and 2nd differences of the rows of a, and a padded."""
+        ap = a[:, self.idx]
+        if odd and self.sign is not None:    # odd ghosts for U and V
+            ap *= self.sign
+        return ((ap[:, 3:-1] - ap[:, 1:-3]) / (2.0 * self.dx),
+                (ap[:, 3:-1] - 2.0 * ap[:, 2:-2] + ap[:, 1:-3]) / self.dx ** 2,
+                ap)
 
+    def __call__(self, z: np.ndarray, t: float) -> np.ndarray:
+        p, Th = self.p, z[4]
+        if not ((Th > -300.0) & (Th < np.inf)).all():
+            raise IntegrationError(t, _THETA_RANGE)
+        b2, b4 = p.b * p.b, p.b ** 4
+        d1, d2, zp = self.differences(z)
+        d4 = (zp[:2, 4:] - 4.0 * zp[:2, 3:-1] + 6.0 * zp[:2, 2:-2]
+              - 4.0 * zp[:2, 1:-3] + zp[:2, :-4]) / self.dx ** 4
+        U1x, V1x = d1[0], d1[2]
+        U1x3, U1x5, V1x2, V1x3 = U1x ** 3, U1x ** 5, V1x ** 2, V1x ** 3
 
-def _dx2(ap: np.ndarray, dx: float) -> np.ndarray:
-    return (ap[3:-1] - 2.0 * ap[2:-2] + ap[1:-3]) / dx ** 2
+        # the stress-law bracket and the b^2 U1x V1x heat flux, padded
+        # together (even extension); d/dx of one, d^2/dx^2 of the other
+        bracket = ((p.s_theta[0] * Th + p.s_theta[1] * Th * Th) * U1x
+                   + (p.s_cubic[0] + p.s_cubic[1] * Th) * U1x3
+                   + p.s_quintic * U1x5
+                   + (p.s_rate2[0] + p.s_rate2[1] * Th) * b2 * V1x2 * U1x
+                   + p.s_rate4 * b4 * V1x ** 4 * U1x
+                   + p.s_rate2_cubic * b2 * V1x2 * U1x3)
+        f1, f2, _ = self.differences(
+            np.array([bracket, p.h_flux2 * b2 * U1x * V1x]), odd=False)
 
-
-def _dx4(ap: np.ndarray, dx: float) -> np.ndarray:
-    return (ap[4:] - 4.0 * ap[3:-1] + 6.0 * ap[2:-2] - 4.0 * ap[1:-3]
-            + ap[:-4]) / dx ** 4
-
-
-class _Derivs:
-    """All spatial derivatives the model needs, from one padding pass."""
-
-    def __init__(self, state: SlabState, dx: float, ends: str):
-        u1 = _pad(state.U1, ends, odd=True)
-        u2 = _pad(state.U2, ends, odd=True)
-        v1 = _pad(state.V1, ends, odd=True)
-        v2 = _pad(state.V2, ends, odd=True)
-        th = _pad(state.Th, ends, odd=False)
-        self.U1x = _dx1(u1, dx)
-        self.U2x = _dx1(u2, dx)
-        self.V1x = _dx1(v1, dx)
-        self.U1xx = _dx2(u1, dx)
-        self.U2xx = _dx2(u2, dx)
-        self.V1xx = _dx2(v1, dx)
-        self.V2xx = _dx2(v2, dx)
-        self.U1xxxx = _dx4(u1, dx)
-        self.U2xxxx = _dx4(u2, dx)
-        self.Thxx = _dx2(th, dx)
+        out = np.empty_like(z)
+        out[:2] = z[2:4]
+        out[2] = (p.c_wave * d2[0] + p.c_disp * b2 * d4[0] + f1[0]) / p.rho
+        out[3] = -(p.c_bend * b2 * d4[1]) / p.rho
+        heating = ((p.h_lin[0] + p.h_lin[1] * Th + p.h_lin[2] * Th * Th)
+                   * U1x * V1x
+                   + (p.h_cubic[0] + p.h_cubic[1] * Th) * V1x * U1x3
+                   + (p.h_rate3[0] + p.h_rate3[1] * Th) * b2 * V1x3 * U1x
+                   + p.h_quintic * V1x * U1x5
+                   + p.h_mixed33 * b2 * V1x3 * U1x3
+                   + p.h_rate5 * b4 * V1x ** 5 * U1x
+                   + p.h_curv_long * b2 * d2[0] * d2[2]
+                   + p.h_curv_bend * b2 * d2[1] * d2[3])
+        out[4] = (p.kappa * d2[4] + heating + f2[1]) / p.cv
+        if not np.isfinite(out[2:]).all():
+            raise IntegrationError(t, "non-finite right-hand side")
+        return out
 
 
 def slab_rhs(state: SlabState, params: SlabParams, dx: float,
@@ -225,44 +255,11 @@ def slab_rhs(state: SlabState, params: SlabParams, dx: float,
 
     Every printed term of the truncation is evaluated with second-order
     centred differences; the strain-law bracket is differenced in flux
-    form.  Raises on non-finite intermediates.
+    form.  Raises ValueError on an invalid state, IntegrationError on a
+    non-finite right-hand side.
     """
-    if ends not in ENDS:
-        raise ValueError(f"ends must be one of {ENDS}")
-    state.validate()
-    p = params
-    b, b2, b4 = p.b, p.b * p.b, p.b ** 4
-    d = _Derivs(state, dx, ends)
-    Th = state.Th
-    U1x, V1x = d.U1x, d.V1x
-
-    # longitudinal stress-law bracket, then its conservative divergence
-    bracket = ((p.s_theta[0] * Th + p.s_theta[1] * Th * Th) * U1x
-               + (p.s_cubic[0] + p.s_cubic[1] * Th) * U1x ** 3
-               + p.s_quintic * U1x ** 5
-               + (p.s_rate2[0] + p.s_rate2[1] * Th) * b2 * V1x ** 2 * U1x
-               + p.s_rate4 * b4 * V1x ** 4 * U1x
-               + p.s_rate2_cubic * b2 * V1x ** 2 * U1x ** 3)
-    bracket_x = _dx1(_pad(bracket, ends, odd=False), dx)
-
-    dV1 = (p.c_wave * d.U1xx + p.c_disp * b2 * d.U1xxxx + bracket_x) / p.rho
-    dV2 = -(p.c_bend * b2 * d.U2xxxx) / p.rho
-
-    heating = ((p.h_lin[0] + p.h_lin[1] * Th + p.h_lin[2] * Th * Th) * U1x * V1x
-               + (p.h_cubic[0] + p.h_cubic[1] * Th) * V1x * U1x ** 3
-               + (p.h_rate3[0] + p.h_rate3[1] * Th) * b2 * V1x ** 3 * U1x
-               + p.h_quintic * V1x * U1x ** 5
-               + p.h_mixed33 * b2 * V1x ** 3 * U1x ** 3
-               + p.h_rate5 * b4 * V1x ** 5 * U1x
-               + p.h_curv_long * b2 * d.U1xx * d.V1xx
-               + p.h_curv_bend * b2 * d.U2xx * d.V2xx)
-    hyper = _dx2(_pad(p.h_flux2 * b2 * U1x * V1x, ends, odd=False), dx)
-    dTh = (p.kappa * d.Thxx + heating + hyper) / p.cv
-
-    for arr in (dV1, dV2, dTh):
-        if not np.all(np.isfinite(arr)):
-            raise IntegrationError(state.t, "non-finite right-hand side")
-    return state.V1.copy(), state.V2.copy(), dV1, dV2, dTh
+    rhs = _SlabRhs(params, dx, ends, state.U1.size)
+    return tuple(rhs(state.validate().fields(), state.t))
 
 
 def reconstruct_fields(state: SlabState, params: SlabParams, Y,
@@ -278,29 +275,30 @@ def reconstruct_fields(state: SlabState, params: SlabParams, Y,
                 - 25.1 (7 - 30 Y^2 + 15 Y^4) V1x^3 U1x
 
     Y may be a scalar or an array; field arrays broadcast against it with
-    Y in the leading axis.
+    Y in the leading axis, and each row equals the fields at that scalar Y.
     """
     Y = np.asarray(Y, dtype=float)
     if np.any(np.abs(Y) > 1.0):
         raise ValueError("|Y| must not exceed 1")
     p = params
     b, b2, b3 = p.b, p.b ** 2, p.b ** 3
-    d = _Derivs(state, dx, ends)
+    (U1x, U2x, V1x, _, _), (U1xx, U2xx, _, V2xx, _), _ = _SlabRhs(
+        p, dx, ends, state.U1.size).differences(state.fields())
     Th = state.Th
     Yc = Y[..., None] if Y.ndim else Y
 
     quad = p.r_quad * (3.0 * Yc ** 2 - 1.0)
     odd3 = 3.0 * Yc - Yc ** 3
-    u1 = state.U1 - Yc * b * d.U2x + quad * b2 * d.U1xx
+    u1 = state.U1 - Yc * b * U2x + quad * b2 * U1xx
     u2 = (state.U2
-          - (p.r_shear[0] + p.r_shear[1] * Th) * Yc * b * d.U1x
-          + quad * b2 * d.U2xx
-          - p.r_cubic * Yc * b * d.U1x ** 3
-          + p.r_rate * odd3 * b3 * d.V1x ** 2 * d.U1x)
+          - (p.r_shear[0] + p.r_shear[1] * Th) * Yc * b * U1x
+          + quad * b2 * U2xx
+          - p.r_cubic * Yc * b * U1x ** 3
+          + p.r_rate * odd3 * b3 * V1x ** 2 * U1x)
     theta = (p.theta_ref + Th
-             - p.t_mix * odd3 * b3 * (d.V1x * d.U2xx + d.U1x * d.V2xx)
+             - p.t_mix * odd3 * b3 * (V1x * U2xx + U1x * V2xx)
              - p.t_rate * (7.0 - 30.0 * Yc ** 2 + 15.0 * Yc ** 4)
-             * d.V1x ** 3 * d.U1x)
+             * V1x ** 3 * U1x)
     return u1, u2, theta
 
 
@@ -346,12 +344,6 @@ class SlabTrajectory(_Trajectory):
     dx: float
 
 
-def _slab_diag(state: SlabState, dx: float, ends: str):
-    d = _Derivs(state, dx, ends)
-    return (state.t, float(np.abs(d.U1x).max()), float(np.abs(d.U2x).max()),
-            float(state.Th.min()), float(state.Th.max()))
-
-
 def slab_simulate(setup: SlabRunSetup) -> SlabTrajectory:
     """RK4 time integration of the reduced model.
 
@@ -361,16 +353,16 @@ def slab_simulate(setup: SlabRunSetup) -> SlabTrajectory:
     failure, an RK4 stage state that check rejects included, raises
     solver1d.IntegrationError with the partial trajectory as `partial`.
     """
-    dx, ends, p = setup.dx, setup.ends, setup.params
+    p, dx = setup.params, setup.dx
+    rhs = _SlabRhs(p, dx, setup.ends, setup.state0.U1.size)
 
-    def f(fields, t):
-        try:
-            return np.stack(slab_rhs(SlabState(t, *fields), p, dx, ends))
-        except ValueError as exc:
-            raise IntegrationError(t, str(exc)) from exc
+    def diag(s):
+        d1 = rhs.differences(s.fields())[0]
+        return (s.t, float(np.abs(d1[0]).max()), float(np.abs(d1[1]).max()),
+                float(s.Th.min()), float(s.Th.max()))
 
     return _drive(SlabTrajectory(p, dx), setup, setup.state0.copy().validate(),
                   SlabState.fields,
                   lambda z, t: SlabState(t, *z.copy()).validate(),
-                  lambda z, t, dt: _rk4_step(z, t, dt, f),
-                  lambda s: _slab_diag(s, dx, ends))
+                  lambda z, t, dt: _rk4_step(z, t, dt, rhs),
+                  diag)

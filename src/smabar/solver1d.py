@@ -428,9 +428,12 @@ def rhs(state: FieldState, grid: Grid1D, params: MaterialParams1D,
 
     Aborts with IntegrationError if theta is non-positive anywhere.
     """
-    if np.any(state.theta <= 0):
-        raise IntegrationError(state.t, "non-positive temperature in state")
-    state.validate(grid, params)
+    try:
+        state.validate(grid, params)
+    except ValueError:
+        if np.any(state.theta <= 0):
+            raise IntegrationError(state.t, "non-positive temperature in state") from None
+        raise
     f = _Rhs(grid, params, bcs, forcing, gamma_sign)
     t = state.t if t is None else t
     return f.unpack(f(f.pack(state), t), t)

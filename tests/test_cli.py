@@ -2,7 +2,7 @@
 
 import math
 import os
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -28,7 +28,8 @@ from smabar.cli import (
 from smabar.constitutive import MaterialParams1D
 from smabar.slab import SlabParams, SlabRunSetup, slab_simulate
 from smabar.solver1d import (MECH_KINDS, THERMAL_KINDS, BoundarySpec,
-                             IntegrationError, simulate)
+                             IntegrationError, _clamp_ends, simulate,
+                             stable_dt)
 
 MINIMAL = """\
 [model]
@@ -376,14 +377,7 @@ class TestRunArtifacts:
         np.testing.assert_array_equal(ends, 250.0)
 
     def test_integration_abort_exit_code(self, tmp_path):
-        text = MINIMAL.replace("dt = 0.001", "dt = 0.05")
-        text = text.replace("t_end = 0.02", "t_end = 2.0")
-        text = text.replace("output_interval = 0.004",
-                            "output_interval = 0.05")
-        text = text.replace(
-            "theta = const",
-            "u = sine\nu_amplitude = 0.01\nu_mode = 3\ntheta = const")
-        cfg = _read_config_text(text)
+        cfg = _read_config_text(MINIMAL, ABORTS["full_1d"])
         out = tmp_path / "out"
         code = run(cfg, str(out))
         assert code == 2
@@ -419,9 +413,10 @@ class TestRunArtifacts:
         assert len(rec) == 1 + 3 * 2 * 32     # snapshots * Y values * points
 
 
-ABORTS = {"full_1d": ["time.dt=0.05", "time.t_end=2.0",
-                      "time.output_interval=0.05", "initial.u=sine",
-                      "initial.u_amplitude=0.01", "initial.u_mode=3"],
+# the bar: a heat sink that drives theta through zero at t = 0.008 ms
+# (an RK4 dt above the stable step is refused before the run starts);
+# the slab: a dt far above its RK4 limit
+ABORTS = {"full_1d": ["forcing.heat=const", "forcing.heat_value=-1e6"],
           "slab": ["time.dt=0.01"]}
 
 
@@ -483,6 +478,27 @@ class TestDriverContract:
 
 
 class TestMain:
+    def test_rk4_dt_above_stable_step_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["run", "--preset", "conservation", "--out", str(out),
+                     "--override", "time.dt=0.002"]) == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err and "RK4 stable step" in err
+        assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("name", ["conservation", "mms"])
+    def test_rk4_dt_bound_is_the_initial_stable_step(self, name):
+        cfg = preset(name)
+        setup = cfg.resolve()
+        bound = stable_dt(_clamp_ends(setup.state0.copy(), setup.bcs),
+                          setup.grid, setup.params)
+        assert cfg.dt < bound
+        replace(cfg, dt=bound).resolve()
+        with pytest.raises(ConfigError, match="RK4 stable step"):
+            replace(cfg, dt=bound * (1 + 1e-9)).resolve()
+        # implicit integrators take any dt
+        replace(cfg, dt=10 * bound, integrator="implicit_euler").resolve()
+
     def test_presets_listing(self, capsys):
         assert main(["presets"]) == 0
         out = capsys.readouterr().out

@@ -67,3 +67,18 @@ def test_closed_form_matches_sympy(name):
 def test_regime_outside_the_case_rejected(changed):
     with pytest.raises(ValueError, match="tau0 = mu = nu = gamma = 0"):
         build_mms_case(P.with_(**changed))
+
+
+def test_cached_modes_match_an_uncached_case():
+    """Alternating two node vectors of one size through one case gives,
+    field for field, the bits of a case built fresh for every call."""
+    args = CASES["beta_L_amplitudes"]
+    case = build_mms_case(*args)
+    xa = np.linspace(0.0, args[1], 33)
+    xb = np.linspace(0.1, 0.9 * args[1], 33)
+    for t in np.linspace(0.0, 1.5, 7):
+        for x in (xa, xb, xb, xa):
+            for field in ("u", "v", "theta", "body", "heat"):
+                got = getattr(case, field)(x, t)
+                fresh = getattr(build_mms_case(*args), field)(x, t)
+                assert got.tobytes() == fresh.tobytes(), field

@@ -1,18 +1,24 @@
 """Reduced slab model: fixed points, dispersion, decoupling and the
 cross-slab reconstruction identities."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smabar.slab import (
+    ENDS,
     SlabParams,
     SlabRunSetup,
     SlabState,
+    _SlabRhs,
     cu_based_slab,
     reconstruct_fields,
     slab_rhs,
     slab_simulate,
 )
+from smabar.solver1d import IntegrationError
 
 P = cu_based_slab()
 L = 2.0 * np.pi
@@ -186,3 +192,171 @@ class TestValidation:
         setup = SlabRunSetup(P, L, NX, st, 1e-4, 0.0103, 0.002)
         traj = slab_simulate(setup)
         assert len(traj.snapshots) == int(np.floor(0.0103 / 0.002)) + 1
+
+
+# ---------------------------------------------------------------------------
+# the fused right-hand side against the per-field reference it replaced:
+# one concatenate pad and one difference call per field, term by term
+
+
+def _ref_pad(a, ends, odd, width=2):
+    if ends == "periodic":
+        return np.concatenate([a[-width:], a, a[:width]])
+    sign = -1.0 if odd else 1.0
+    left = sign * a[width:0:-1]
+    right = sign * a[-2:-2 - width:-1]
+    return np.concatenate([left, a, right])
+
+
+def _ref_dx1(ap, dx):
+    return (ap[3:-1] - ap[1:-3]) / (2.0 * dx)
+
+
+def _ref_dx2(ap, dx):
+    return (ap[3:-1] - 2.0 * ap[2:-2] + ap[1:-3]) / dx ** 2
+
+
+def _ref_dx4(ap, dx):
+    return (ap[4:] - 4.0 * ap[3:-1] + 6.0 * ap[2:-2] - 4.0 * ap[1:-3]
+            + ap[:-4]) / dx ** 4
+
+
+def _slab_rhs_reference(state, p, dx, ends):
+    """(dU1, dU2, dV1, dV2, dTh), every operation in its original order."""
+    b, b2, b4 = p.b, p.b * p.b, p.b ** 4
+    u1 = _ref_pad(state.U1, ends, odd=True)
+    u2 = _ref_pad(state.U2, ends, odd=True)
+    v1 = _ref_pad(state.V1, ends, odd=True)
+    v2 = _ref_pad(state.V2, ends, odd=True)
+    th = _ref_pad(state.Th, ends, odd=False)
+    U1x, V1x = _ref_dx1(u1, dx), _ref_dx1(v1, dx)
+    U1xx, U2xx = _ref_dx2(u1, dx), _ref_dx2(u2, dx)
+    V1xx, V2xx = _ref_dx2(v1, dx), _ref_dx2(v2, dx)
+    U1xxxx, U2xxxx = _ref_dx4(u1, dx), _ref_dx4(u2, dx)
+    Thxx = _ref_dx2(th, dx)
+    Th = state.Th
+
+    bracket = ((p.s_theta[0] * Th + p.s_theta[1] * Th * Th) * U1x
+               + (p.s_cubic[0] + p.s_cubic[1] * Th) * U1x ** 3
+               + p.s_quintic * U1x ** 5
+               + (p.s_rate2[0] + p.s_rate2[1] * Th) * b2 * V1x ** 2 * U1x
+               + p.s_rate4 * b4 * V1x ** 4 * U1x
+               + p.s_rate2_cubic * b2 * V1x ** 2 * U1x ** 3)
+    bracket_x = _ref_dx1(_ref_pad(bracket, ends, odd=False), dx)
+
+    dV1 = (p.c_wave * U1xx + p.c_disp * b2 * U1xxxx + bracket_x) / p.rho
+    dV2 = -(p.c_bend * b2 * U2xxxx) / p.rho
+
+    heating = ((p.h_lin[0] + p.h_lin[1] * Th + p.h_lin[2] * Th * Th) * U1x * V1x
+               + (p.h_cubic[0] + p.h_cubic[1] * Th) * V1x * U1x ** 3
+               + (p.h_rate3[0] + p.h_rate3[1] * Th) * b2 * V1x ** 3 * U1x
+               + p.h_quintic * V1x * U1x ** 5
+               + p.h_mixed33 * b2 * V1x ** 3 * U1x ** 3
+               + p.h_rate5 * b4 * V1x ** 5 * U1x
+               + p.h_curv_long * b2 * U1xx * V1xx
+               + p.h_curv_bend * b2 * U2xx * V2xx)
+    hyper = _ref_dx2(_ref_pad(p.h_flux2 * b2 * U1x * V1x, ends, odd=False), dx)
+    dTh = (p.kappa * Thxx + heating + hyper) / p.cv
+    return state.V1.copy(), state.V2.copy(), dV1, dV2, dTh
+
+
+def random_state(seed, n, scales):
+    """Smooth-plus-noisy fields with the given per-field amplitudes."""
+    rng = np.random.default_rng(seed)
+    x = np.arange(n) / n
+    return SlabState(0.25, *[s * (np.sin(2 * np.pi * x + rng.uniform(0, 6))
+                                  + 0.3 * rng.standard_normal(n))
+                             for s in scales])
+
+
+# amplitudes around the slab_reconstruct run's (U1 1e-5, U2 1e-4, V up to
+# about 1e-2, ThetaPrime a few K), a decade or more either side
+SCALES = st.tuples(st.floats(-7.0, -3.0), st.floats(-6.0, -2.0),
+                   st.floats(-5.0, 0.0), st.floats(-4.0, 0.0),
+                   st.floats(-3.0, 1.5)).map(lambda e: [10.0 ** v for v in e])
+
+
+# every coefficient of the table scaled by its own factor, zero included
+# (except c_wave, which must stay positive), so that each term in turn can
+# dominate the sums it enters and any change to its bits shows
+FACTOR = st.one_of(st.just(0.0), st.floats(-12.0, 0.0).map(lambda e: 10.0 ** e))
+SCALED = [f.name for f in fields(SlabParams)
+          if f.name not in ("b", "rho", "cv", "theta_ref")
+          and not f.name.startswith(("r_", "t_"))]
+
+
+@st.composite
+def coefficient_tables(draw):
+    table = {}
+    for name in SCALED:
+        factor = FACTOR.filter(bool) if name == "c_wave" else FACTOR
+        base = getattr(P, name)
+        values = [v * draw(factor) for v in np.atleast_1d(base)]
+        table[name] = tuple(values) if isinstance(base, tuple) else values[0]
+    return replace(P, **table)
+
+
+def _bits(arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+class TestFusedRhs:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(5, 48),
+           ends=st.sampled_from(ENDS), scales=SCALES,
+           dx=st.floats(0.082, 0.5))
+    def test_bitwise_equal_to_reference(self, seed, n, ends, scales, dx):
+        state = random_state(seed, n, scales)
+        expect = _bits(_slab_rhs_reference(state, P, dx, ends))
+        assert _bits(_SlabRhs(P, dx, ends, n)(state.fields(), state.t)) == expect
+        assert _bits(slab_rhs(state, P, dx, ends)) == expect
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(5, 48),
+           ends=st.sampled_from(ENDS), scales=SCALES,
+           params=coefficient_tables())
+    def test_bitwise_equal_for_any_coefficient_table(self, seed, n, ends,
+                                                     scales, params):
+        state = random_state(seed, n, scales)
+        expect = _bits(_slab_rhs_reference(state, params, 0.1, ends))
+        got = _SlabRhs(params, 0.1, ends, n)(state.fields(), state.t)
+        assert _bits(got) == expect
+
+    @pytest.mark.parametrize("ends", ENDS)
+    def test_reconstruct_array_y_matches_scalar_y(self, ends):
+        ys = np.array([-1.0, -0.7745966692414834, -0.3, 0.0, 0.5,
+                       0.7745966692414834, 1.0])
+        for seed in range(20):
+            state = random_state(seed, 41, [1e-5, 1e-4, 1e-2, 1e-2, 3.0])
+            rows = reconstruct_fields(state, P, ys, 0.1, ends)
+            for j, y in enumerate(ys):
+                single = reconstruct_fields(state, P, float(y), 0.1, ends)
+                assert _bits(r[j] for r in rows) == _bits(single)
+
+    @pytest.mark.parametrize("bad", [-300.0, -1e3, np.nan, np.inf])
+    @pytest.mark.parametrize("ends", ENDS)
+    def test_stage_theta_check(self, ends, bad):
+        state = random_state(5, 12, [1e-5, 1e-4, 1e-2, 1e-2, 3.0])
+        state.Th[4] = bad
+        with pytest.raises(IntegrationError) as err:
+            _SlabRhs(P, DX, ends, 12)(state.fields(), 0.125)
+        assert err.value.time == 0.125
+        assert err.value.reason == "ThetaPrime must stay finite and above -300 K"
+        # the public wrapper keeps SlabState.validate's ValueError
+        with pytest.raises(ValueError, match="finite and above -300 K"):
+            slab_rhs(state, P, DX, ends)
+
+    @pytest.mark.parametrize("field", ["U1", "U2", "V1", "V2"])
+    @pytest.mark.parametrize("ends", ENDS)
+    def test_non_finite_rhs_aborts(self, ends, field):
+        state = random_state(6, 12, [1e-5, 1e-4, 1e-2, 1e-2, 3.0])
+        getattr(state, field)[6] = np.inf
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(IntegrationError) as err:
+                _SlabRhs(P, DX, ends, 12)(state.fields(), 0.5)
+        assert err.value.time == 0.5
+        assert err.value.reason == "non-finite right-hand side"
+
+    def test_unknown_ends_rejected(self):
+        with pytest.raises(ValueError, match="ends must be one of"):
+            slab_rhs(uniform_state(), P, DX, "clamped")

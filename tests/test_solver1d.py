@@ -132,6 +132,17 @@ class TestRhs:
         with pytest.raises(IntegrationError):
             rhs(st, g, P, BoundarySpec(), Forcing.none())
 
+    def test_shape_error_is_value_error(self):
+        g = Grid1D(1.0, 8)
+        st = make_state(g, theta=200.0)
+        st.u = st.u[:-1]
+        with pytest.raises(ValueError, match="u must have shape"):
+            rhs(st, g, P, BoundarySpec(), Forcing.none())
+        # a non-positive temperature is reported first, as an abort
+        st.theta[3] = 0.0
+        with pytest.raises(IntegrationError, match="non-positive temperature"):
+            rhs(st, g, P, BoundarySpec(), Forcing.none())
+
     def test_nu_degenerate_coupling_aborts(self):
         g = Grid1D(1.0, 8)
         p = P.with_(nu=1e9)
