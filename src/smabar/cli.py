@@ -308,13 +308,14 @@ class SimConfig:
 
     def _forcing(self, case) -> Forcing:
         def shaped(kind, value, amplitude, rate, mms_fn):
+            # x-independent kinds return a scalar; the solver adds it to
+            # every node with the same bits as an array of that value
             if kind == "none":
-                return lambda x, t: np.zeros_like(x)
+                return lambda x, t: 0.0
             if kind == "const":
-                return lambda x, t: np.full_like(x, value)
+                return lambda x, t: value
             if kind == "sin_cubed":
-                return lambda x, t: np.full_like(x, amplitude
-                                                 * math.sin(rate * t) ** 3)
+                return lambda x, t: amplitude * math.sin(rate * t) ** 3
             return mms_fn
 
         fs = self.forcing

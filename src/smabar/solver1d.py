@@ -40,11 +40,15 @@ right-hand-side call on a stack of states, which gives each row the same
 bits as its own call would.
 The Newton matrix I - w J is factored once per Jacobian build (banded LU,
 LAPACK gbtrf) and its factors are reused by every solve of the chord
-iterations that follow, across steps, until the chord iteration stalls
-(simplified Newton; Hairer & Wanner, Solving ODEs II, IV.8).  A singular
-factor or a non-finite solve is a failed solve, handled like a diverging
-iteration: the chord iteration gives way to Newton, and a failed Newton
-solve halves the step.
+iterations that follow, across steps (simplified Newton).  Reuse is
+decided from the observed contraction rate theta = |dz_k| / |dz_k-1|
+(Hairer & Wanner, Solving ODEs II, IV.8): the first time in a solve that
+theta exceeds THETA_REFRESH, I - w J is rebuilt and refactored at the
+current iterate and the chord iteration continues from there with the new
+factors.  A chord iteration whose residual stops decreasing gives way to
+damped Newton from the step state.  A singular factor or a non-finite
+solve is a failed solve, handled like a diverging iteration: the chord
+iteration gives way to Newton, and a failed Newton solve halves the step.
 Inside the spinodal strain band the frozen-coefficient problem is locally
 ill-posed for mu = gamma = 0 (the tangent modulus is negative), so
 grid-scale perturbations grow at a physical rate; the backward Euler
@@ -159,14 +163,17 @@ class Forcing:
     """Body force F(x, t) in g/(ms^2 cm^2) and heat supply G(x, t) in
     g/(ms^3 cm), both given as vectorised callables that are elementwise in
     x: the solver calls each once per right-hand side on all nodes and
-    slices the interior and end values from that result."""
+    slices the interior and end values from that result.  A callable whose
+    value does not depend on x may return it as a scalar, which the solver
+    uses as-is for every node; adding a float gives the same bits as adding
+    an array filled with it."""
 
-    body: Callable[[np.ndarray, float], np.ndarray]
-    heat: Callable[[np.ndarray, float], np.ndarray]
+    body: Callable[[np.ndarray, float], np.ndarray | float]
+    heat: Callable[[np.ndarray, float], np.ndarray | float]
 
     @classmethod
     def none(cls) -> "Forcing":
-        zero = lambda x, t: np.zeros_like(x)
+        zero = lambda x, t: 0.0
         return cls(zero, zero)
 
 
@@ -244,7 +251,8 @@ class _Rhs:
     call, in the same order, and gets a bit-identical derivative.  The
     boundary branches, the ghost-temperature rule and the optional rate
     terms (mu, nu, gamma, tau0) are resolved once, here; each call
-    evaluates forcing.heat and forcing.body once, at all nodes, and slices.
+    evaluates forcing.heat and forcing.body once, at all nodes, and slices
+    an array result (a scalar one serves every node as it is).
     """
 
     def __init__(self, grid: Grid1D, params: MaterialParams1D,
@@ -354,21 +362,23 @@ class _Rhs:
         Z = z.reshape(z.shape[:-1] + (self.nn, self.nf))
         (eps, deps, deps_n, dd_n, th_m, cond, coupling,
          g_heat, th_t, s) = self._stress_and_rates(Z, t)
-        body = self.forcing.body(self.x, t)
+        body = body_in = body_0 = body_1 = self.forcing.body(self.x, t)
+        if np.ndim(body):
+            body_in, body_0, body_1 = body[1:-1], body[0], body[-1]
 
         dZ = np.empty(Z.shape)
         dZ[..., 0] = Z[..., 1]
         accel = dZ[..., 1]
-        interior = (s[..., 1:] - s[..., :-1]) * dxi + body[1:-1]
+        interior = (s[..., 1:] - s[..., :-1]) * dxi + body_in
         if p.gamma != 0.0:
             interior += self._gamma * _fourth_difference(Z[..., 0], self.grid.dx)[..., 1:-1]
         np.divide(interior, p.rho, out=accel[..., 1:-1])
         if self._free_left:
-            accel[..., 0] = (2.0 * s[..., 0] * dxi + body[0]) / p.rho
+            accel[..., 0] = (2.0 * s[..., 0] * dxi + body_0) / p.rho
         else:                            # pinned: u and v held
             dZ[..., 0, :2] = 0.0
         if self._free_right:
-            accel[..., -1] = (-2.0 * s[..., -1] * dxi + body[-1]) / p.rho
+            accel[..., -1] = (-2.0 * s[..., -1] * dxi + body_1) / p.rho
         else:
             dZ[..., -1, :2] = 0.0
         dZ[..., 2] = th_t
@@ -530,8 +540,12 @@ class _ImplicitStepper:
     storage: z and its 2 hb + 1 coloured perturbations form one (2 hb + 2,
     n) stack, evaluated by a single _Rhs call; nfe counts each row of it as
     one evaluation.  The LU factors of I - w J are kept: every chord
-    iteration solves with them, across steps, while full steps keep
-    converging.  A singular factor or a non-finite solve is a failed solve.
+    iteration solves with them, across steps.  When the scaled increment
+    norm contracts by less than THETA_REFRESH per iteration, the factors
+    are refreshed once per solve at the current iterate, and the iteration
+    goes on from it; a chord iteration whose residual stops decreasing
+    hands the step to damped Newton.  A singular factor or a non-finite
+    solve is a failed solve.
     A solution is accepted only if it is physically plausible (finite,
     theta above 1 K, |eps| below 0.5); when the Newton iteration fails or
     finds no plausible solution the step is halved locally, which resolves
@@ -565,8 +579,14 @@ class _ImplicitStepper:
         self.lu = None
         scale = {3: (1e-2, 1e-1, 200.0), 4: (1e-2, 1e-1, 200.0, 10.0)}
         self._scale = np.tile(scale[f.nf], f.nn)
+        # work counters; fallbacks counts chord iterations that gave way to
+        # damped Newton
         self.nfe = 0
         self.subdivided = 0
+        self.factorisations = 0
+        self.solves = 0
+        self.refreshes = 0
+        self.fallbacks = 0
 
     # -- helpers -----------------------------------------------------------
 
@@ -607,11 +627,13 @@ class _ImplicitStepper:
         ab = np.zeros((3 * hb + 1, z.size))
         ab[hb:] = -w * self._banded_jacobian(z, t)
         ab[2 * hb] += 1.0
+        self.factorisations += 1
         return _band_lu(ab, hb)
 
     # -- one nonlinear solve -------------------------------------------------
 
     TOL = 1e-11
+    THETA_REFRESH = 0.1
 
     def _residual_fn(self, z: np.ndarray, t: float, dt: float):
         f = self.f
@@ -635,15 +657,15 @@ class _ImplicitStepper:
                 return 0.5 * (z + zg), tm
         return resid, jac_point
 
-    def _converged(self, dz: np.ndarray) -> bool:
-        """Increment-based convergence test.
+    def _converged(self, dn: float) -> bool:
+        """Increment-based convergence test on dn = _norm(increment).
 
         The residual itself is a poor test in the stiff tau0 regime: the
         theta_dot rows amplify state noise by 1/tau0, so their residual
         floor can sit above any fixed tolerance while the Newton increment
         (divided by the matching 1 + dt/tau0 diagonal) is negligible.
         """
-        return self._norm(dz) < self.TOL
+        return dn < self.TOL
 
     def _solve(self, z: np.ndarray, t: float, dt: float) -> Optional[np.ndarray]:
         """One implicit solve; iterates always start from the step state z
@@ -652,17 +674,22 @@ class _ImplicitStepper:
         exist near snap-through events)."""
         resid, jac_point = self._residual_fn(z, t, dt)
         with np.errstate(over="ignore", invalid="ignore"):
-            # fast path: undamped chord iteration with the cached LU factors
+            # fast path: undamped chord iteration with the cached LU factors,
+            # refreshed once at the current iterate when the contraction
+            # rate dn / dn_prev exceeds THETA_REFRESH
             if self.lu is not None:
                 zg = z.copy()
                 r = resid(zg)
                 rn = self._norm(r)
+                dn_prev, refreshed = np.inf, False
                 for _ in range(25):
                     dz = _band_solve(self.lu, self.half_bw, -r)
+                    self.solves += 1
                     if dz is None:
                         break
                     zg = zg + dz
-                    if self._converged(dz):
+                    dn = self._norm(dz)
+                    if self._converged(dn):
                         if self._plausible(zg):
                             return zg
                         break
@@ -671,7 +698,15 @@ class _ImplicitStepper:
                     if not rtn < rn:
                         break
                     rn = rtn
+                    if not refreshed and dn > self.THETA_REFRESH * dn_prev:
+                        refreshed = True
+                        self.refreshes += 1
+                        self.lu = self._system_matrix(*jac_point(zg), dt)
+                        if self.lu is None:
+                            break
+                    dn_prev = dn
                 self.lu = None
+                self.fallbacks += 1
 
             # robust path: damped Newton with a fresh Jacobian per
             # iteration.  Strong curvature (quadratic rate terms) can make
@@ -689,10 +724,11 @@ class _ImplicitStepper:
                 if lu is None:
                     return None
                 dz = _band_solve(lu, self.half_bw, -r)
+                self.solves += 1
                 if dz is None:
                     return None
                 self.lu = lu             # cache for the next step's fast path
-                if self._converged(dz):
+                if self._converged(self._norm(dz)):
                     zg = zg + dz
                     return zg if self._plausible(zg) else None
                 lam, accepted = 1.0, False

@@ -441,6 +441,88 @@ class TestImplicitSolver:
         assert rhs_per_build == [1] * counts["jacobian"]
         assert counts["heat"] == counts["body"] == counts["rhs"]
 
+    def test_contraction_refresh_counters(self, monkeypatch):
+        refreshes_per_solve = []
+        solve = _ImplicitStepper._solve
+
+        def counted(self, z, t, dt):
+            before = self.refreshes
+            out = solve(self, z, t, dt)
+            refreshes_per_solve.append(self.refreshes - before)
+            return out
+
+        steppers = []
+        init = _ImplicitStepper.__init__
+
+        def kept(self, *args):
+            init(self, *args)
+            steppers.append(self)
+
+        monkeypatch.setattr(_ImplicitStepper, "_solve", counted)
+        monkeypatch.setattr(_ImplicitStepper, "__init__", kept)
+        setup = replace(preset("experiment2"), t_end=1.0).resolve()
+        assert setup.integrator == "implicit_euler"
+        simulate(setup)
+        (stepper,) = steppers
+        steps = round(setup.t_end / setup.dt)
+        # 8.49 banded solves per step without the contraction refresh
+        assert stepper.solves <= 6.5 * steps
+        assert stepper.refreshes > 0
+        assert max(refreshes_per_solve) == 1
+
+    @staticmethod
+    def _stepped(name, steps=5):
+        """A stepper of preset name and its state after a few steps."""
+        setup = replace(preset(name), t_end=0.05).resolve()
+        f = _Rhs(setup.grid, setup.params, setup.bcs, setup.forcing,
+                 setup.gamma_sign)
+        stepper = _ImplicitStepper(f, setup.integrator)
+        z = f.pack(solver1d._clamp_ends(setup.state0.copy(), setup.bcs))
+        for n in range(steps):
+            z = stepper.advance(z, n * setup.dt, setup.dt)
+        return stepper, z, steps * setup.dt, setup.dt
+
+    @pytest.mark.parametrize("name, stale", [
+        ("experiment1", "half_dt"), ("experiment2", "ten_dt"),
+        ("experiment2", "other_state")])
+    def test_stale_factors_are_refreshed(self, name, stale):
+        stepper, z, t, dt = self._stepped(name)
+        stepper.lu = None
+        fresh = stepper._solve(z, t, dt)       # damped Newton from z
+        assert fresh is not None
+        if stale == "other_state":
+            shifted = z.reshape(-1, stepper.f.nf).copy()
+            shifted[:, 2] += 40.0
+            stepper.lu = stepper._system_matrix(shifted.ravel(), t, dt)
+        else:
+            stepper.lu = stepper._system_matrix(
+                z, t, (0.5 if stale == "half_dt" else 10.0) * dt)
+        refreshes, fallbacks = stepper.refreshes, stepper.fallbacks
+        out = stepper._solve(z, t, dt)
+        assert stepper.refreshes == refreshes + 1
+        assert stepper.fallbacks == fallbacks
+        assert out is not None and stepper._plausible(out)
+        assert stepper._norm(out - fresh) < 1e-9
+
+    def test_singular_refresh_falls_back_to_newton(self, monkeypatch):
+        stepper, z, t, dt = self._stepped("experiment2")
+        stepper.lu = None
+        fresh = stepper._solve(z, t, dt)
+        stepper.lu = stepper._system_matrix(z, t, 10.0 * dt)
+        band_lu, calls = solver1d._band_lu, []
+
+        def singular_first(ab, hb):
+            calls.append(hb)
+            return None if len(calls) == 1 else band_lu(ab, hb)
+
+        monkeypatch.setattr(solver1d, "_band_lu", singular_first)
+        refreshes, fallbacks = stepper.refreshes, stepper.fallbacks
+        out = stepper._solve(z, t, dt)
+        assert stepper.refreshes == refreshes + 1
+        assert stepper.fallbacks == fallbacks + 1
+        assert len(calls) > 1                     # Newton built its own
+        assert out is not None and stepper._norm(out - fresh) < 1e-9
+
 
 def _random_stack(seed, p, nx, rows):
     """rows random flattened bar states (interleaved [u, v, theta(, w)])."""
@@ -478,6 +560,41 @@ class TestBatchedRhs:
         assert batched.shape == zs.shape
         np.testing.assert_array_equal(batched.view(np.int64),
                                       singles.view(np.int64))
+
+    @pytest.mark.parametrize("mech", ["pinned", "stress_free", "mixed"])
+    @pytest.mark.parametrize("changed", [{}, {"tau0": 1e-3, "nu": 3.0}],
+                             ids=["base", "tau0-nu"])
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_scalar_forcing_matches_filled_arrays(self, mech, changed, rows):
+        """x-independent forcing returned as a float gives the bits of the
+        same value filled into a node array, ends included."""
+        p = P.with_(**changed)
+        body = lambda t: 500.0 + 7000.0 * np.sin(0.3 * t) ** 3
+        heat = lambda t: -2.5e4 * np.sin(0.7 * t) ** 3
+        scalar = Forcing(lambda x, t: body(t), lambda x, t: heat(t))
+        filled = Forcing(lambda x, t: np.full_like(x, body(t)),
+                         lambda x, t: np.full_like(x, heat(t)))
+        nx, t = 9, 1.7
+        bcs = BoundarySpec(mech, "controlled_flux", beta=0.5,
+                           theta_ambient=290.0)
+        g = Grid1D(1.0, nx)
+        zs = _random_stack(11, p, nx, rows or 1)
+        z = zs if rows else zs[0]
+        got = _Rhs(g, p, bcs, scalar)(z, t)
+        want = _Rhs(g, p, bcs, filled)(z, t)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        state = _Rhs(g, p, bcs, scalar).unpack(zs[0], t)
+        np.testing.assert_array_equal(
+            compute_stress(state, g, p, bcs, scalar).view(np.int64),
+            compute_stress(state, g, p, bcs, filled).view(np.int64))
+
+    def test_preset_forcing_is_scalar(self):
+        x = Grid1D(1.0, 8).nodes()
+        for name in ("experiment1", "experiment2", "conservation"):
+            forcing = preset(name).resolve().forcing
+            for fn in (forcing.body, forcing.heat):
+                assert isinstance(fn(x, 0.37), float)
+        assert isinstance(Forcing.none().body(x, 0.0), float)
 
     @pytest.mark.parametrize("tau0", [0.0, 1e-3])
     def test_nu_degenerate_row_aborts_the_stack(self, tau0):
