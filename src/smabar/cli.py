@@ -63,7 +63,7 @@ import numpy as np
 
 from . import solver1d
 from .constitutive import MaterialParams1D, cu_based
-from .manufactured import build_mms_case
+from .manufactured import ZERO_RATES, build_mms_case
 from .slab import (ENDS, SlabParams, SlabRunSetup, SlabState, cu_based_slab,
                    reconstruct_fields, slab_simulate)
 from .solver1d import (BoundarySpec, FieldState, Forcing, Grid1D,
@@ -202,6 +202,10 @@ _KINDS = {
 
 _BREAKPOINTS = ("initial", "u_breakpoints")
 
+# Validity bound on floor(t_end/output_interval) + 1, the snapshot count of
+# solver1d._drive: a million snapshots already means (nx+1) million CSV rows.
+_MAX_SNAPSHOTS = 10**6
+
 
 def _schema(model):
     if model not in _SCHEMA:
@@ -261,6 +265,10 @@ class SimConfig:
             raise ConfigError("[time] t_end must be positive")
         if self.output_interval <= 0:
             raise ConfigError("[time] output_interval must be positive")
+        if self.t_end / self.output_interval + 1e-9 >= _MAX_SNAPSHOTS:
+            raise ConfigError(
+                f"[time] t_end/output_interval asks for more than "
+                f"{_MAX_SNAPSHOTS} snapshots")
         if self.nx < 4:
             raise ConfigError("[grid] nx must be at least 4")
         if self.length <= 0:
@@ -285,6 +293,13 @@ class SimConfig:
                 raise ConfigError("[output] reconstruct_y values must lie "
                                   "in [-1, 1]")
         else:
+            rates = [f"{name} = {getattr(self.material, name)!r}"
+                     for name in ZERO_RATES
+                     if getattr(self.material, name) != 0]
+            if self.needs_mms and rates:
+                raise ConfigError(
+                    "mms forcing covers tau0 = mu = nu = gamma = 0 only; "
+                    f"[material] has {', '.join(rates)}")
             ini, mms = self.initial, self.mms
             lowest = {"const": ini.theta_value,
                       "cosine": ini.theta_value - abs(ini.theta_amplitude),

@@ -33,7 +33,10 @@ import numpy as np
 
 from .constitutive import MaterialParams1D
 
-__all__ = ["MmsCase", "build_mms_case"]
+__all__ = ["MmsCase", "build_mms_case", "ZERO_RATES"]
+
+# MaterialParams1D fields the closed-form forcing takes to be zero
+ZERO_RATES = ("tau0", "mu", "nu", "gamma")
 
 
 @dataclass
@@ -57,7 +60,7 @@ def build_mms_case(params: MaterialParams1D, length: float = 1.0,
     otherwise).  The callables cache sin(kx) and cos(kx) of the last x by
     identity (the solver passes one node vector): do not change x in place.
     """
-    if params.tau0 != 0 or params.mu != 0 or params.nu != 0 or params.gamma != 0:
+    if any(getattr(params, name) != 0 for name in ZERO_RATES):
         raise ValueError("manufactured case covers tau0 = mu = nu = gamma = 0")
     p, k = params, math.pi / length
     a, b, wu, wt = u_amplitude, theta_amplitude, omega_u, omega_t

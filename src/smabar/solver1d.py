@@ -40,7 +40,10 @@ right-hand-side call on a stack of states, which gives each row the same
 bits as its own call would.
 The Newton matrix I - w J is factored once per Jacobian build (banded LU,
 LAPACK gbtrf) and its factors are reused by every solve of the chord
-iterations that follow, across steps (simplified Newton).  Reuse is
+iterations that follow, across steps (simplified Newton).  scipy's banded
+LAPACK routines are imported when an implicit run is set up (RunSetup), or
+at the first factorisation of a one-shot step(); RK4 bar runs and slab
+runs never load scipy.linalg.  Reuse is
 decided from the observed contraction rate theta = |dz_k| / |dz_k-1|
 (Hairer & Wanner, Solving ODEs II, IV.8): the first time in a solve that
 theta exceeds THETA_REFRESH, I - w J is rebuilt and refactored at the
@@ -61,10 +64,10 @@ lands on a snap-through it cannot resolve.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .constitutive import MaterialParams1D, conductivity, internal_energy, strain_energy
 
@@ -509,6 +512,14 @@ def _rk4_step(z: np.ndarray, t: float, dt: float, f: Callable) -> np.ndarray:
     return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+@cache
+def _lapack():
+    """(dgbtrf, dgbtrs), imported on first use: importing scipy.linalg
+    costs about 0.3 s and RK4 and slab runs never factor a matrix."""
+    from scipy.linalg.lapack import dgbtrf, dgbtrs
+    return dgbtrf, dgbtrs
+
+
 def _band_lu(ab: np.ndarray, hb: int):
     """LU factors (lu, piv) of the matrix with hb sub- and super-diagonals
     held in LAPACK gbtrf storage: ab[2 hb + i - j, j] = a[i, j], the first
@@ -516,7 +527,7 @@ def _band_lu(ab: np.ndarray, hb: int):
     is not finite or the matrix is singular."""
     if not np.isfinite(ab).all():
         return None
-    lu, piv, info = dgbtrf(ab, hb, hb, overwrite_ab=True)
+    lu, piv, info = _lapack()[0](ab, hb, hb, overwrite_ab=True)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of gbtrf")
     return (lu, piv) if info == 0 else None
@@ -527,7 +538,7 @@ def _band_solve(factors, hb: int, b: np.ndarray) -> Optional[np.ndarray]:
     not finite."""
     if not np.isfinite(b).all():
         return None
-    x, info = dgbtrs(factors[0], hb, hb, b, factors[1])
+    x, info = _lapack()[1](factors[0], hb, hb, b, factors[1])
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of gbtrs")
     return x if np.isfinite(x).all() else None
@@ -876,6 +887,8 @@ class RunSetup:
             raise ValueError("dt, t_end and output_interval must be positive")
         if self.integrator not in INTEGRATORS:
             raise ValueError(f"integrator must be one of {INTEGRATORS}")
+        if self.integrator != "rk4":
+            _lapack()   # load LAPACK at set-up, not inside simulate()
 
 
 @dataclass(kw_only=True)

@@ -2,14 +2,16 @@
 
 import math
 import os
+import tempfile
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from smabar.cli import (
     _KINDS,
+    _SCHEMA,
     ConfigError,
     ForcingSpec,
     InitialSpec,
@@ -26,6 +28,7 @@ from smabar.cli import (
     write_config,
 )
 from smabar.constitutive import MaterialParams1D
+from smabar.manufactured import ZERO_RATES
 from smabar.slab import SlabParams, SlabRunSetup, slab_simulate
 from smabar.solver1d import (MECH_KINDS, THERMAL_KINDS, BoundarySpec,
                              IntegrationError, _clamp_ends, simulate,
@@ -254,9 +257,20 @@ def dataclass_of(cls, model, prefix, positive=(), **given):
 
 
 def common_fields(model):
+    # output_interval > 1e-3 keeps t_end/output_interval under the 10^6
+    # snapshot ceiling
     return dict(model=st.just(model), nx=st.integers(4, 512),
-                dt=POS, t_end=POS, output_interval=POS,
+                dt=POS, t_end=POS, output_interval=st.floats(2e-3, 1e3),
                 integrator=st.sampled_from(_KINDS[model][("integrator",)]))
+
+
+def mms_regime(cfg):
+    """cfg with tau0 = mu = nu = gamma = 0 when it uses an mms field, the
+    only regime the manufactured solution covers."""
+    if not cfg.needs_mms:
+        return cfg
+    return replace(cfg, material=cfg.material.with_(
+        **dict.fromkeys(ZERO_RATES, 0.0)))
 
 
 FULL_1D = st.builds(
@@ -279,7 +293,8 @@ FULL_1D = st.builds(
     mms=dataclass_of(MmsSpec, "full_1d", ("mms",),
                      theta_bar=st.floats(1e3, 1e12),
                      theta_amplitude=st.floats(-999.0, 999.0)),
-    austenite_band=st.floats(1e-3, 0.05), martensite_band=st.floats(0.05, 0.5))
+    austenite_band=st.floats(1e-3, 0.05), martensite_band=st.floats(0.05, 0.5)
+).map(mms_regime)
 
 
 @st.composite
@@ -477,6 +492,17 @@ class TestDriverContract:
             _check_state(setup, state)
 
 
+def _source(run, tmp):
+    """sma run arguments for a preset name or, for "slab", the SLAB config
+    written into directory tmp."""
+    if run != "slab":
+        return ["--preset", run]
+    path = os.path.join(tmp, "slab.ini")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(SLAB)
+    return ["--config", path]
+
+
 class TestMain:
     def test_rk4_dt_above_stable_step_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -552,3 +578,61 @@ class TestMain:
         assert main(["run", "--preset", "conservation",
                      "--out", str(tmp_path / "o"),
                      "--override", "nonsense"]) == 1
+
+    @pytest.mark.parametrize("run, override, message", [
+        ("mms", "material.mu=0.1", "tau0 = mu = nu = gamma = 0"),
+        ("mms", "material.gamma=1e-30", "gamma = 1e-30"),
+        ("conservation", "time.output_interval=1e-30", "1000000 snapshots"),
+        ("slab", "time.output_interval=1e-30", "1000000 snapshots"),
+    ], ids=["mms_mu", "mms_gamma", "bar_snapshots", "slab_snapshots"])
+    def test_outside_validity_is_config_error(self, tmp_path, capsys, run,
+                                              override, message):
+        source = _source(run, str(tmp_path))
+        out = tmp_path / "o"
+        assert main(["run", *source, "--out", str(out),
+                     "--override", override]) == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err and message in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_snapshot_ceiling_is_inclusive(self):
+        cfg = replace(preset("conservation"), t_end=1.0)
+        replace(cfg, output_interval=1.0 / 999_999).validate()   # 10^6
+        with pytest.raises(ConfigError, match="snapshots"):
+            replace(cfg, output_interval=1e-6).validate()        # 10^6 + 1
+
+
+# The exit-code contract under one out-of-range override: a shortened run of
+# each model (t_end, dt and the model kind stay as they are, so every run is
+# short and every key belongs to the run's schema) ends in 0, 1 or 2.
+SHORT_RUNS = {"conservation": "time.t_end=0.002",
+              "experiment2": "time.t_end=0.004",
+              "mms": "time.t_end=0.001",
+              "slab": "time.t_end=0.01"}
+HELD_KEYS = {("time", "t_end"), ("time", "dt"), ("model", "kind")}
+ODD_VALUES = ("0", "-1", "nan", "inf", "1e30", "1e-30", "text")
+
+
+@st.composite
+def one_override(draw):
+    run = draw(st.sampled_from(sorted(SHORT_RUNS)))
+    keys = [f"{section}.{key}"
+            for section, key, _ in _SCHEMA["slab" if run == "slab" else "full_1d"]
+            if (section, key) not in HELD_KEYS]
+    return run, f"{draw(st.sampled_from(keys))}={draw(st.sampled_from(ODD_VALUES))}"
+
+
+class TestExitCodeContract:
+    @settings(max_examples=100, deadline=None)
+    @given(one_override())
+    @example(("mms", "material.nu=-1"))
+    @example(("slab", "time.output_interval=1e-30"))
+    def test_main_returns_an_exit_code(self, case):
+        run, override = case
+        with tempfile.TemporaryDirectory() as tmp:
+            with np.errstate(all="ignore"):
+                code = main(["run", *_source(run, tmp),
+                             "--out", os.path.join(tmp, "o"),
+                             "--override", SHORT_RUNS[run],
+                             "--override", override])
+        assert code in (0, 1, 2)

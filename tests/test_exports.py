@@ -1,6 +1,7 @@
 """Every name a smabar module lists in __all__ exists, so a deleted
 function cannot leave a dead export behind; the package serves its cli
-names without importing smabar.cli up front."""
+names without importing smabar.cli up front; runs load sympy never and
+scipy's LAPACK only when they integrate implicitly."""
 
 import os
 import pkgutil
@@ -52,16 +53,89 @@ print(code, after_import, "sympy" in sys.modules)
 """
 
 
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(smabar.__file__)))
+
+
+def _python(script, *args):
+    """Run script in a fresh interpreter that imports smabar from SRC."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
 def test_runs_never_import_sympy(tmp_path):
     """sympy is a test-only dependency: neither the package import nor an
     mms run, the one preset built on the manufactured solution, loads it."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(smabar.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", _NO_SYMPY_RUN, str(tmp_path / "mms")],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split()[-3:] == ["0", "False", "False"], proc.stdout
+    out = _python(_NO_SYMPY_RUN, tmp_path / "mms")
+    assert out[-3:] == ["0", "False", "False"], out
     assert (tmp_path / "mms" / "summary.txt").exists()
+
+
+_RK4_RUNS = """
+import sys
+import smabar
+seen = ["scipy.linalg" in sys.modules]
+from smabar import cli
+for argv in (["--preset", "conservation", "--override", "time.t_end=0.002"],
+             ["--config", sys.argv[1], "--override", "time.t_end=0.01"]):
+    seen += [cli.main(["run", *argv, "--out", sys.argv[2]]),
+             "scipy.linalg" in sys.modules]
+print(*seen)
+"""
+
+
+def test_rk4_and_slab_runs_never_import_lapack(tmp_path):
+    """Only the implicit integrators factor a matrix, so neither the package
+    import nor an RK4 bar run nor a slab run loads scipy.linalg."""
+    ini = os.path.join(os.path.dirname(SRC), "bench", "slab_reconstruct.ini")
+    out = _python(_RK4_RUNS, ini, tmp_path / "o")
+    assert out[-5:] == ["False", "0", "False", "0", "False"], out
+
+
+_IMPLICIT_SETUP = """
+import sys
+from smabar import cli
+loaded = []
+resolve = cli.SimConfig.resolve
+
+def resolved(self):
+    setup = resolve(self)
+    loaded.append("scipy.linalg" in sys.modules)
+    return setup
+
+cli.SimConfig.resolve = resolved
+before = "scipy.linalg" in sys.modules
+code = cli.main(["run", "--preset", "experiment2", "--override",
+                 "time.t_end=0.004", "--out", sys.argv[1]])
+print(before, code, *loaded)
+"""
+
+
+def test_implicit_run_loads_lapack_at_setup(tmp_path):
+    """An implicit run pays the LAPACK import while it is set up, by the
+    time SimConfig.resolve returns, not inside the integration."""
+    out = _python(_IMPLICIT_SETUP, tmp_path / "e2")
+    assert out[-3:] == ["False", "0", "True"], out
+
+
+_ONE_SHOT_STEP = """
+import numpy as np
+from smabar import (BoundarySpec, FieldState, Forcing, Grid1D, cu_based,
+                    step)
+grid = Grid1D(1.0, 8)
+x = grid.nodes()
+state = FieldState(0.0, 0.01 * np.sin(np.pi * x), np.zeros_like(x),
+                   np.full_like(x, 250.0))
+out = step(state, 1e-3, grid, cu_based(), BoundarySpec("pinned", "insulated"),
+           Forcing.none(), "implicit_euler")
+print(np.isfinite(out.u).all(), out.t == 1e-3)
+"""
+
+
+def test_one_shot_implicit_step_without_a_run_setup():
+    """The public step() loads LAPACK itself on its first factorisation."""
+    assert _python(_ONE_SHOT_STEP)[-2:] == ["True", "True"]
