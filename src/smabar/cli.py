@@ -206,6 +206,12 @@ _BREAKPOINTS = ("initial", "u_breakpoints")
 # solver1d._drive: a million snapshots already means (nx+1) million CSV rows.
 _MAX_SNAPSHOTS = 10**6
 
+# Smallest positive [material] tau0 (ms).  The theta_dot equation divides by
+# tau0, so near the double-precision limit its terms overflow (experiment1's
+# implicit step fails at tau0 = 1e-306); 1e-100 ms keeps 200 decades of
+# head-room and is still far below any physical relaxation time.
+_TAU0_FLOOR = 1e-100
+
 
 def _schema(model):
     if model not in _SCHEMA:
@@ -293,6 +299,11 @@ class SimConfig:
                 raise ConfigError("[output] reconstruct_y values must lie "
                                   "in [-1, 1]")
         else:
+            if 0 < self.material.tau0 < _TAU0_FLOOR:
+                raise ConfigError(
+                    f"[material] tau0 = {self.material.tau0!r}: a positive "
+                    f"tau0 must be at least {_TAU0_FLOOR:g} ms (0 gives "
+                    f"Fourier conduction)")
             rates = [f"{name} = {getattr(self.material, name)!r}"
                      for name in ZERO_RATES
                      if getattr(self.material, name) != 0]

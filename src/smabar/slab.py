@@ -78,6 +78,12 @@ ENDS = ("periodic", "pinned_insulated")
 _THETA_RANGE = "ThetaPrime must stay finite and above -300 K"
 
 
+def _check_theta(Th: np.ndarray):
+    """ValueError unless every ThetaPrime is finite and above -300 K."""
+    if not ((Th > -300.0) & (Th < np.inf)).all():
+        raise ValueError(_THETA_RANGE)
+
+
 @dataclass(frozen=True)
 class SlabParams:
     """Geometry, transport and the full reduced-model coefficient table."""
@@ -164,8 +170,7 @@ class SlabState:
         for name in ("U2", "V1", "V2", "Th"):
             if getattr(self, name).size != n:
                 raise ValueError("slab state arrays must have equal length")
-        if not ((self.Th > -300.0) & (self.Th < np.inf)).all():
-            raise ValueError(_THETA_RANGE)
+        _check_theta(self.Th)
         return self
 
     def copy(self) -> "SlabState":
@@ -362,7 +367,7 @@ def slab_simulate(setup: SlabRunSetup) -> SlabTrajectory:
                 float(s.Th.min()), float(s.Th.max()))
 
     return _drive(SlabTrajectory(p, dx), setup, setup.state0.copy().validate(),
-                  SlabState.fields,
-                  lambda z, t: SlabState(t, *z.copy()).validate(),
+                  SlabState.fields, lambda z, t: SlabState(t, *z.copy()),
+                  lambda z: _check_theta(z[4]),
                   lambda z, t, dt: _rk4_step(z, t, dt, rhs),
                   diag)

@@ -48,10 +48,12 @@ decided from the observed contraction rate theta = |dz_k| / |dz_k-1|
 (Hairer & Wanner, Solving ODEs II, IV.8): the first time in a solve that
 theta exceeds THETA_REFRESH, I - w J is rebuilt and refactored at the
 current iterate and the chord iteration continues from there with the new
-factors.  A chord iteration whose residual stops decreasing gives way to
-damped Newton from the step state.  A singular factor or a non-finite
-solve is a failed solve, handled like a diverging iteration: the chord
-iteration gives way to Newton, and a failed Newton solve halves the step.
+factors.  The chord iteration stops on |dz_k| < TOL or on the error
+estimate theta / (1 - theta) |dz_k| < TOL; one whose residual stops
+decreasing gives way to damped Newton from the step state.  A singular
+factor or a non-finite solve is a failed solve, handled like a diverging
+iteration: the chord iteration gives way to Newton, and a failed Newton
+solve halves the step.
 Inside the spinodal strain band the frozen-coefficient problem is locally
 ill-posed for mu = gamma = 0 (the tangent modulus is negative), so
 grid-scale perturbations grow at a physical rate; the backward Euler
@@ -165,11 +167,14 @@ class BoundarySpec:
 class Forcing:
     """Body force F(x, t) in g/(ms^2 cm^2) and heat supply G(x, t) in
     g/(ms^3 cm), both given as vectorised callables that are elementwise in
-    x: the solver calls each once per right-hand side on all nodes and
-    slices the interior and end values from that result.  A callable whose
-    value does not depend on x may return it as a scalar, which the solver
-    uses as-is for every node; adding a float gives the same bits as adding
-    an array filled with it."""
+    x: the solver calls each on all nodes and slices the interior and end
+    values from that result.  Each is called once per distinct t among
+    consecutive right-hand sides: the returned arrays are kept and reused
+    for every evaluation at that t, so a callable must not modify an array
+    it has returned (the solver never does).  A callable whose value does
+    not depend on x may return it as a scalar, which the solver uses as-is
+    for every node; adding a float gives the same bits as adding an array
+    filled with it."""
 
     body: Callable[[np.ndarray, float], np.ndarray | float]
     heat: Callable[[np.ndarray, float], np.ndarray | float]
@@ -253,9 +258,11 @@ class _Rhs:
     row of a stack goes through the floating-point operations of a single
     call, in the same order, and gets a bit-identical derivative.  The
     boundary branches, the ghost-temperature rule and the optional rate
-    terms (mu, nu, gamma, tau0) are resolved once, here; each call
-    evaluates forcing.heat and forcing.body once, at all nodes, and slices
-    an array result (a scalar one serves every node as it is).
+    terms (mu, nu, gamma, tau0) are resolved once, here.  forcing.heat and
+    forcing.body are evaluated at all nodes once per distinct t (a one-entry
+    memo serves consecutive calls at one time, as every residual and
+    Jacobian row of an implicit Euler step are), and an array result is
+    sliced (a scalar one serves every node as it is).
     """
 
     def __init__(self, grid: Grid1D, params: MaterialParams1D,
@@ -284,6 +291,7 @@ class _Rhs:
         self._robin = (2.0 * grid.dx * bcs.beta
                        if bcs.thermal == "controlled_flux" and bcs.beta != 0.0
                        else None)
+        self._memo = (None, None)
 
     # -- state packing ------------------------------------------------------
 
@@ -298,14 +306,24 @@ class _Rhs:
         w = Z[:, 3].copy() if self.nf == 4 else None
         return FieldState(t, Z[:, 0].copy(), Z[:, 1].copy(), Z[:, 2].copy(), w)
 
-    def checked(self, z: np.ndarray, t: float) -> FieldState:
-        """unpack, rejecting a state whose temperature is not positive."""
-        state = self.unpack(z, t)
-        if np.any(state.theta <= 0):
+    def check(self, z: np.ndarray):
+        """ValueError when a temperature of the packed state z is not
+        positive; reads a view of z."""
+        if (z[2::self.nf] <= 0).any():
             raise ValueError("non-positive temperature")
-        return state
 
     # -- physics ------------------------------------------------------------
+
+    def _forcing(self, t: float):
+        """(heat, interior body, body at either end) at time t, from a
+        one-entry memo keyed on t."""
+        if self._memo[0] != t:
+            heat = self.forcing.heat(self.x, t)
+            body = self.forcing.body(self.x, t)
+            ends = ((body[1:-1], body[0], body[-1]) if np.ndim(body)
+                    else (body,) * 3)
+            self._memo = (t, (heat, *ends))
+        return self._memo[1]
 
     def _theta_pad(self, th: np.ndarray, t: float) -> np.ndarray:
         """theta with its ghost values prepended and appended."""
@@ -332,7 +350,7 @@ class _Rhs:
         cond = (flux[..., 1:] - flux[..., :-1]) * dxi
 
         coupling = _node_average(th_m * eps * deps)
-        g_heat = self.forcing.heat(self.x, t)
+        g_heat = self._forcing(t)[0]
         dd_n = _node_average(deps * deps) if p.mu != 0.0 else None
         deps_n = _node_average(deps) if p.nu != 0.0 else None
 
@@ -365,9 +383,7 @@ class _Rhs:
         Z = z.reshape(z.shape[:-1] + (self.nn, self.nf))
         (eps, deps, deps_n, dd_n, th_m, cond, coupling,
          g_heat, th_t, s) = self._stress_and_rates(Z, t)
-        body = body_in = body_0 = body_1 = self.forcing.body(self.x, t)
-        if np.ndim(body):
-            body_in, body_0, body_1 = body[1:-1], body[0], body[-1]
+        _, body_in, body_0, body_1 = self._forcing(t)
 
         dZ = np.empty(Z.shape)
         dZ[..., 0] = Z[..., 1]
@@ -535,9 +551,8 @@ def _band_lu(ab: np.ndarray, hb: int):
 
 def _band_solve(factors, hb: int, b: np.ndarray) -> Optional[np.ndarray]:
     """x with a x = b from _band_lu's factors of a; None when b or x is
-    not finite."""
-    if not np.isfinite(b).all():
-        return None
+    not finite (a non-finite entry of b leaves one in x: the triangular
+    solves carry it through)."""
     x, info = _lapack()[1](factors[0], hb, hb, b, factors[1])
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of gbtrs")
@@ -554,9 +569,11 @@ class _ImplicitStepper:
     iteration solves with them, across steps.  When the scaled increment
     norm contracts by less than THETA_REFRESH per iteration, the factors
     are refreshed once per solve at the current iterate, and the iteration
-    goes on from it; a chord iteration whose residual stops decreasing
-    hands the step to damped Newton.  A singular factor or a non-finite
-    solve is a failed solve.
+    goes on from it.  The chord iteration stops on |dz_k| < TOL or, from
+    its second increment on, on the error estimate (see _converged); one
+    whose residual stops decreasing hands the step to damped Newton.
+    Residuals and Newton matrices are row-weighted by D (_row_weights).
+    A singular factor or a non-finite solve is a failed solve.
     A solution is accepted only if it is physically plausible (finite,
     theta above 1 K, |eps| below 0.5); when the Newton iteration fails or
     finds no plausible solution the step is halved locally, which resolves
@@ -631,13 +648,27 @@ class _ImplicitStepper:
         ab[self._in_band] = df[cols % ncol, self._band_rows] / h[cols]
         return ab
 
+    def _row_weights(self, dt: float) -> Optional[np.ndarray]:
+        """D: 1 on every row but theta_dot's, min(1, tau0 / dt) there; None
+        when D = I (tau0 = 0 or tau0 >= dt)."""
+        tau0 = self.f.p.tau0
+        if self.f.nf == 3 or tau0 >= dt:
+            return None
+        d = np.ones(self.f.nn * self.f.nf)
+        d[3::4] = tau0 / dt
+        return d
+
     def _system_matrix(self, z: np.ndarray, t: float, dt: float):
-        """_band_lu factors of I - w J(z, t), or None (see _band_lu)."""
+        """_band_lu factors of D (I - w J(z, t)), or None (see _band_lu)."""
         w = dt if self.kind == "implicit_euler" else 0.5 * dt
         hb = self.half_bw
         ab = np.zeros((3 * hb + 1, z.size))
         ab[hb:] = -w * self._banded_jacobian(z, t)
         ab[2 * hb] += 1.0
+        d = self._row_weights(dt)
+        if d is not None:
+            band = ab[hb:]
+            band[self._in_band] *= d[self._band_rows]
         self.factorisations += 1
         return _band_lu(ab, hb)
 
@@ -666,17 +697,29 @@ class _ImplicitStepper:
 
             def jac_point(zg):
                 return 0.5 * (z + zg), tm
-        return resid, jac_point
+        d = self._row_weights(dt)
+        if d is None:
+            return resid, jac_point
+        return (lambda zg: resid(zg) * d), jac_point
 
-    def _converged(self, dn: float) -> bool:
-        """Increment-based convergence test on dn = _norm(increment).
+    def _converged(self, dn: float, dn_prev: float = np.inf) -> bool:
+        """Increment-based convergence test on dn = _norm(increment): dn
+        below TOL, or, when the previous increment norm dn_prev is finite
+        and larger, the error estimate eta dn below TOL, with contraction
+        rate theta = dn / dn_prev and eta = theta / (1 - theta) (Hairer &
+        Wanner, Solving ODEs II, IV.8).
 
         The residual itself is a poor test in the stiff tau0 regime: the
         theta_dot rows amplify state noise by 1/tau0, so their residual
         floor can sit above any fixed tolerance while the Newton increment
         (divided by the matching 1 + dt/tau0 diagonal) is negligible.
         """
-        return dn < self.TOL
+        if dn < self.TOL:
+            return True
+        if not dn < dn_prev < np.inf:
+            return False
+        theta = dn / dn_prev
+        return theta / (1.0 - theta) * dn < self.TOL
 
     def _solve(self, z: np.ndarray, t: float, dt: float) -> Optional[np.ndarray]:
         """One implicit solve; iterates always start from the step state z
@@ -700,7 +743,7 @@ class _ImplicitStepper:
                         break
                     zg = zg + dz
                     dn = self._norm(dz)
-                    if self._converged(dn):
+                    if self._converged(dn, dn_prev):
                         if self._plausible(zg):
                             return zg
                         break
@@ -798,13 +841,13 @@ def _stepper(f: _Rhs, integrator: str):
     return _ImplicitStepper(f, integrator).advance
 
 
-def _accept(z: np.ndarray, t: float, unpack):
-    """The state a step ended in at time t, or IntegrationError(t) when its
-    values are not finite or unpack's state check (ValueError) rejects it."""
+def _accept(z: np.ndarray, t: float, check):
+    """IntegrationError(t) when the state z a step ended in at time t has
+    values that are not finite or that check(z) rejects (ValueError)."""
     if not np.isfinite(z).all():
         raise IntegrationError(t, "non-finite values (stability violation)")
     try:
-        return unpack(z, t)
+        check(z)
     except ValueError as exc:
         raise IntegrationError(t, str(exc)) from exc
 
@@ -825,19 +868,23 @@ def step(state: FieldState, dt: float, grid: Grid1D, params: MaterialParams1D,
     state.validate(grid, params)
     f = _Rhs(grid, params, bcs, forcing, gamma_sign)
     z1 = _stepper(f, integrator)(f.pack(state), state.t, dt)
-    return _accept(z1, state.t + dt, f.checked)
+    _accept(z1, state.t + dt, f.check)
+    return f.unpack(z1, state.t + dt)
 
 
-def _drive(traj, setup, state, pack, unpack, advance, diag):
+def _drive(traj, setup, state, pack, unpack, check, advance, diag):
     """Advance state from t = 0 to setup.t_end in fixed steps of setup.dt
     (the last one shortened to end on t_end), filling and returning traj.
 
-    Models supply advance(z, t, dt) on z = pack(state), unpack(z, t) that
-    raises ValueError on a state the model rejects, and diag(state).  The
-    state at t = 0 is stored, then for each multiple of output_interval the
-    state at the first step time reaching it (repeated when output_interval
-    < dt).  A non-finite or rejected step is not stored: IntegrationError at
-    its end time, with traj (failed, failure set) attached as `partial`.
+    Models supply advance(z, t, dt) on z = pack(state), check(z) that
+    raises ValueError on a state the model rejects, unpack(z, t) that
+    builds a state with its own copy of z's values, and diag(state).
+    Every step's z is checked; a state is built only when it is stored.
+    The state at t = 0 is stored, then for each multiple of output_interval
+    the state at the first step time reaching it (repeated when
+    output_interval < dt).  A non-finite or rejected step is not stored:
+    IntegrationError at its end time, with traj (failed, failure set)
+    attached as `partial`.
     """
     n_snap = int(np.floor(setup.t_end / setup.output_interval + 1e-9)) + 1
     snap_times = np.arange(n_snap) * setup.output_interval
@@ -854,9 +901,10 @@ def _drive(traj, setup, state, pack, unpack, advance, diag):
             dt = min(setup.dt, setup.t_end - t)
             z = advance(z, t, dt)
             t = (n + 1) * setup.dt if dt == setup.dt else setup.t_end
-            state = _accept(z, t, unpack)
+            _accept(z, t, check)
             while next_snap < n_snap and t >= snap_times[next_snap] - tol:
-                traj.snapshots.append(state.copy())
+                state = unpack(z, t)
+                traj.snapshots.append(state)
                 traj.diagnostics.append(diag(state))
                 next_snap += 1
     except IntegrationError as err:
@@ -932,6 +980,6 @@ def simulate(setup: RunSetup) -> Trajectory:
     state = _clamp_ends(setup.state0.copy(), setup.bcs)
     state.validate(grid, params)
     f = _Rhs(grid, params, setup.bcs, setup.forcing, setup.gamma_sign)
-    return _drive(Trajectory(grid, params), setup, state, f.pack, f.checked,
-                  _stepper(f, setup.integrator),
+    return _drive(Trajectory(grid, params), setup, state, f.pack, f.unpack,
+                  f.check, _stepper(f, setup.integrator),
                   lambda s: _diag_row(s, grid, params))

@@ -584,7 +584,10 @@ class TestMain:
         ("mms", "material.gamma=1e-30", "gamma = 1e-30"),
         ("conservation", "time.output_interval=1e-30", "1000000 snapshots"),
         ("slab", "time.output_interval=1e-30", "1000000 snapshots"),
-    ], ids=["mms_mu", "mms_gamma", "bar_snapshots", "slab_snapshots"])
+        ("experiment2", "material.tau0=1e-101", "tau0 = 1e-101"),
+        ("experiment2", "material.tau0=5e-324", "at least 1e-100 ms"),
+    ], ids=["mms_mu", "mms_gamma", "bar_snapshots", "slab_snapshots",
+            "tau0_below_floor", "tau0_subnormal"])
     def test_outside_validity_is_config_error(self, tmp_path, capsys, run,
                                               override, message):
         source = _source(run, str(tmp_path))
@@ -600,6 +603,49 @@ class TestMain:
         replace(cfg, output_interval=1.0 / 999_999).validate()   # 10^6
         with pytest.raises(ConfigError, match="snapshots"):
             replace(cfg, output_interval=1e-6).validate()        # 10^6 + 1
+
+
+def _experiment2_snapshots(tmp, tau0):
+    """Exit code and snapshot columns (u, v, theta) of experiment2 to
+    0.004 ms, one snapshot per step, with the given tau0."""
+    out = os.path.join(tmp, f"o{tau0!r}")
+    code = main(["run", "--preset", "experiment2", "--out", out,
+                 "--override", "time.t_end=0.004",
+                 "--override", "time.output_interval=0.0008",
+                 "--override", f"material.tau0={tau0!r}"])
+    with open(os.path.join(out, "snapshots.csv"), encoding="utf-8") as fh:
+        rows = fh.read().splitlines()
+    assert rows[0].split(",")[2:5] == ["u", "v", "theta"]
+    return code, np.array([row.split(",")[2:5] for row in rows[1:]], float)
+
+
+class TestSmallRelaxationTime:
+    """Every tau0 the config accepts runs the implicit solver.  Below dt,
+    the theta_dot rows of the Newton system carry a round-off floor of order
+    dt/tau0; their weighting by tau0/dt keeps it out of the iteration."""
+
+    @pytest.fixture(scope="class")
+    def fourier(self, tmp_path_factory):
+        code, cols = _experiment2_snapshots(str(tmp_path_factory.mktemp("f")),
+                                            0.0)
+        assert code == 0 and len(cols) == 6 * 17
+        return cols
+
+    @settings(max_examples=60, deadline=None)
+    @given(tau0=st.one_of(st.just(0.0), st.floats(-100.0, -6.0).map(
+        lambda e: min(max(10.0 ** e, 1e-100), 1e-6))))
+    @example(tau0=1e-100)
+    @example(tau0=1e-30)
+    @example(tau0=1e-18)
+    @example(tau0=1e-6)
+    def test_experiment2_runs_and_matches_the_fourier_limit(self, fourier,
+                                                            tau0):
+        with tempfile.TemporaryDirectory() as tmp:
+            code, cols = _experiment2_snapshots(tmp, tau0)
+        assert code == 0
+        assert cols.shape == fourier.shape
+        rel = np.abs(cols - fourier).max(0) / np.abs(fourier).max(0)
+        assert (rel <= 1e-3).all()
 
 
 # The exit-code contract under one out-of-range override: a shortened run of

@@ -8,6 +8,7 @@ so agreement is a two-sided transcription check.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smabar.invariants3d import (
     FalkKonopkaCoeffs,
@@ -141,6 +142,58 @@ class TestCubicGroup:
                 conj = np.array(invariants(q @ e @ q.T))
                 rel = np.abs(conj - base) / np.maximum(np.abs(base), 1e-30)
                 assert rel.max() < 1e-12
+
+
+# polynomial order of each of the ten invariants, in StrainInvariants order
+ORDERS = np.array([2, 2, 2, 4, 4, 4, 4, 4, 6, 6])
+
+
+@st.composite
+def symmetric_strains(draw):
+    """A symmetric strain of any magnitude up to 0.2, components drawn
+    independently."""
+    parts = draw(st.lists(st.floats(-0.2, 0.2, allow_subnormal=False),
+                          min_size=6, max_size=6))
+    e = np.diag(parts[:3])
+    e[1, 2] = e[2, 1] = parts[3]
+    e[0, 2] = e[2, 0] = parts[4]
+    e[0, 1] = e[1, 0] = parts[5]
+    return e
+
+
+class TestCubicGroupProperty:
+    """All 48 conjugations q e q^T leave the invariants and the free energy
+    unchanged.  Entries of q e q^T are entries of e up to sign, so only the
+    order of the arithmetic differs: the tolerance is round-off relative to
+    the size |e|^order each invariant's terms have."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(symmetric_strains())
+    def test_invariants(self, e):
+        g = cubic_group_elements()
+        conj = np.einsum("qij,jk,qlk->qil", g, e, g)
+        base = np.array(invariants(e))
+        vals = np.stack(invariants(conj), axis=-1)
+        size = np.abs(e).max() ** ORDERS
+        assert (np.abs(vals - base) <= 1e-12 * np.maximum(np.abs(base), size)
+                + 1e-300).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(symmetric_strains(), st.floats(300.5, 700.0),
+           st.booleans())
+    def test_free_energy(self, e, theta, thermal):
+        c = cu_based_3d()
+        g = cubic_group_elements()
+        conj = np.einsum("qij,jk,qlk->qil", g, e, g)
+        base = free_energy_3d(c, e, theta, include_thermal=thermal)
+        vals = free_energy_3d(c, conj, theta, include_thermal=thermal)
+        coeffs = np.abs(np.concatenate([c.psi2_at(theta), c.psi4_at(theta),
+                                        c.psi6_at(theta)]))
+        size = (coeffs * np.maximum(np.abs(np.array(invariants(e))),
+                                    np.abs(e).max() ** ORDERS)).sum()
+        if thermal:
+            size += abs(c.psi0_at(theta))
+        assert (np.abs(vals - base) <= 1e-12 * size + 1e-300).all()
 
 
 class TestCoefficients:

@@ -412,7 +412,12 @@ class TestImplicitSolver:
                 return fn(*args, **kwargs)
             return wrapper
 
-        rhs_per_build = []
+        rhs_per_build, times = [], []
+        rhs_call = _Rhs.__call__
+
+        def timed(self, z, t):
+            times.append(t)
+            return rhs_call(self, z, t)
 
         def jacobian(self, z, t):
             before = counts["rhs"]
@@ -422,7 +427,7 @@ class TestImplicitSolver:
 
         banded_jacobian = counted("jacobian", _ImplicitStepper._banded_jacobian)
         monkeypatch.setattr(_ImplicitStepper, "_banded_jacobian", jacobian)
-        monkeypatch.setattr(_Rhs, "__call__", counted("rhs", _Rhs.__call__))
+        monkeypatch.setattr(_Rhs, "__call__", counted("rhs", timed))
         monkeypatch.setattr(solver1d, "_band_lu",
                             counted("factor", solver1d._band_lu))
         monkeypatch.setattr(solver1d, "_band_solve",
@@ -437,9 +442,60 @@ class TestImplicitSolver:
         assert counts["factor"] == counts["jacobian"]
         assert counts["solve"] > counts["jacobian"]
         # f0 and every colour of a build go through one stacked RHS call,
-        # and each RHS call evaluates each forcing callable once
+        # and each forcing callable is evaluated once per run of
+        # consecutive RHS calls at one time (a one-entry memo)
         assert rhs_per_build == [1] * counts["jacobian"]
-        assert counts["heat"] == counts["body"] == counts["rhs"]
+        runs = 1 + sum(a != b for a, b in zip(times, times[1:]))
+        assert counts["heat"] == counts["body"] == runs
+        assert len(set(times)) <= runs < counts["rhs"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(dominant_bands(), st.data())
+    def test_band_solve_rejects_any_nonfinite_rhs(self, drawn, data):
+        hb, ab, b = drawn
+        factors = _band_lu(_lu_storage(ab, hb), hb)
+        bad = data.draw(st.lists(st.integers(0, b.size - 1), min_size=1,
+                                 max_size=3))
+        for i in bad:
+            b[i] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        assert _band_solve(factors, hb, b) is None
+
+    def test_error_estimate_stop(self):
+        stepper, tol = _stepper(8), _ImplicitStepper.TOL
+        # the first increment has no contraction rate: only |dz| < TOL
+        assert stepper._converged(0.5 * tol)
+        assert not stepper._converged(tol)
+        assert not stepper._converged(tol, np.inf)
+        # theta = 1/10, eta = 1/9: eta |dz| < TOL up to |dz| < 9 TOL
+        assert stepper._converged(8.9 * tol, 89.0 * tol)
+        assert not stepper._converged(9.1 * tol, 91.0 * tol)
+        # no estimate when the increments do not contract
+        assert not stepper._converged(2.0 * tol, 2.0 * tol)
+        assert not stepper._converged(2.0 * tol, tol)
+
+    @pytest.mark.parametrize("name, factor", [
+        ("experiment1", 0.5), ("experiment2", 10.0), ("experiment2", 1.0)])
+    def test_chord_never_stops_on_its_first_increment(self, name, factor,
+                                                      monkeypatch):
+        """From stale or current factors, a chord solve whose first
+        increment is not below TOL takes a second one before it returns:
+        the first increment has no contraction rate to estimate an error
+        from."""
+        stepper, z, t, dt = self._stepped(name)
+        stepper.lu = stepper._system_matrix(z, t, factor * dt)
+        band_solve, norms = solver1d._band_solve, []
+
+        def recorded(factors, hb, b):
+            x = band_solve(factors, hb, b)
+            norms.append(np.inf if x is None else stepper._norm(x))
+            return x
+
+        monkeypatch.setattr(solver1d, "_band_solve", recorded)
+        fallbacks = stepper.fallbacks
+        out = stepper._solve(z, t, dt)
+        assert out is not None and stepper.fallbacks == fallbacks
+        assert norms[0] >= stepper.TOL
+        assert len(norms) >= 2
 
     def test_contraction_refresh_counters(self, monkeypatch):
         refreshes_per_solve = []
@@ -836,6 +892,27 @@ class TestSimulate:
             np.testing.assert_array_equal(a.u, b.u)
             np.testing.assert_array_equal(a.v, b.v)
             np.testing.assert_array_equal(a.theta, b.theta)
+
+    def test_nonpositive_theta_between_snapshots_aborts_at_that_step(self):
+        g = Grid1D(1.0, 8)
+        sink = Forcing(lambda x, t: 0.0, lambda x, t: -1e6)
+        dt = 1e-4
+        setup = RunSetup(g, P, BoundarySpec(), sink, make_state(g, theta=20.0),
+                         dt, 1.0, 0.5)
+        # the same RK4 steps by hand, to the first with a theta <= 0
+        f = _Rhs(g, P, setup.bcs, sink)
+        z, n = f.pack(setup.state0), 0
+        while z[2::3].min() > 0:
+            z = solver1d._rk4_step(z, n * dt, dt, f)
+            n += 1
+        assert np.isfinite(z).all() and n > 1
+        with pytest.raises(IntegrationError, match="non-positive") as err:
+            simulate(setup)
+        assert err.value.time == n * dt < setup.output_interval
+        partial = err.value.partial
+        assert partial.failed and partial.failure == str(err.value)
+        assert [s.t for s in partial.snapshots] == [0.0]
+        assert len(partial.diagnostics) == 1
 
     def test_failure_carries_partial_trajectory(self):
         g = Grid1D(1.0, 16)
