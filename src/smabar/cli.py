@@ -64,8 +64,8 @@ import numpy as np
 from . import solver1d
 from .constitutive import MaterialParams1D, cu_based
 from .manufactured import ZERO_RATES, build_mms_case
-from .slab import (ENDS, SlabParams, SlabRunSetup, SlabState, cu_based_slab,
-                   reconstruct_fields, slab_simulate)
+from .slab import (ENDS, SlabParams, SlabRunSetup, SlabState, _grid_points,
+                   cu_based_slab, reconstruct_fields, slab_simulate)
 from .solver1d import (BoundarySpec, FieldState, Forcing, Grid1D,
                        IntegrationError, RunSetup, compute_stress, simulate)
 
@@ -265,20 +265,18 @@ class SimConfig:
                 raise ConfigError(
                     f"[{section}] {key} = {_lookup(self, path)!r}: the "
                     f"{self.model} model accepts {', '.join(allowed)}")
-        if self.dt <= 0:
-            raise ConfigError("[time] dt must be positive")
-        if self.t_end <= 0:
-            raise ConfigError("[time] t_end must be positive")
-        if self.output_interval <= 0:
-            raise ConfigError("[time] output_interval must be positive")
+        try:
+            solver1d._check_positive(self)
+        except ValueError as exc:
+            raise ConfigError(f"[time] {exc}") from exc
         if self.t_end / self.output_interval + 1e-9 >= _MAX_SNAPSHOTS:
             raise ConfigError(
                 f"[time] t_end/output_interval asks for more than "
                 f"{_MAX_SNAPSHOTS} snapshots")
-        if self.nx < 4:
-            raise ConfigError("[grid] nx must be at least 4")
-        if self.length <= 0:
-            raise ConfigError("[grid] length must be positive")
+        try:
+            Grid1D(self.length, self.nx)
+        except ValueError as exc:
+            raise ConfigError(f"[grid] {exc}") from exc
         if self.austenite_band <= 0 or self.martensite_band < self.austenite_band:
             raise ConfigError("[phases] bands must satisfy 0 < austenite_band "
                               "<= martensite_band")
@@ -407,8 +405,7 @@ class SimConfig:
         ConfigError: it could only overflow."""
         self.validate()
         if self.model == "slab":
-            n = self.nx if self.ends == "periodic" else self.nx + 1
-            x = np.arange(n) * (self.length / self.nx)
+            x = _grid_points(self.length, self.nx, self.ends)
             si = self.slab_initial
             state0 = SlabState(
                 0.0,
@@ -671,51 +668,50 @@ def classify_strain(eps, austenite_band: float) -> np.ndarray:
     return labels
 
 
-def _node_strain_stress(state, grid, params, bcs, forcing):
-    eps_m = state.strain(grid)
-    s_m = compute_stress(state, grid, params, bcs, forcing)
-    return solver1d._node_average(eps_m), solver1d._node_average(s_m)
+def _block(*columns) -> np.ndarray:
+    """CSV rows of the columns broadcast together, in C order of their
+    common shape."""
+    columns = np.broadcast_arrays(*columns)
+    return np.stack(columns, axis=-1).reshape(-1, len(columns))
 
 
-def _write_rows(path, header, rows):
+def _write_csv(path, header, blocks):
+    """header, then the rows of each 2-D block, every value written as the
+    repr of a Python float."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for block in blocks:
+            for row in np.asarray(block, dtype=float).tolist():
+                fh.write(",".join(map(repr, row)) + "\n")
 
 
-def _write_1d_artifacts(out_dir, config, setup, traj):
+def _write_1d_artifacts(out_dir, config, traj):
+    setup = traj.setup
     grid = setup.grid
     x = grid.nodes()
-    rows = []
-    node_strains = []
+    blocks, lines = [], []
     for st in traj.snapshots:
-        eps_n, s_n = _node_strain_stress(st, grid, setup.params, setup.bcs,
-                                         setup.forcing)
-        node_strains.append(eps_n)
-        for i in range(x.size):
-            rows.append((st.t, x[i], st.u[i], st.v[i], st.theta[i],
-                         eps_n[i], s_n[i]))
-    _write_rows(os.path.join(out_dir, "snapshots.csv"),
-                "t,x,u,v,theta,strain,stress", rows)
-    _write_rows(os.path.join(out_dir, "diagnostics.csv"),
-                "t,total_energy,max_abs_strain,theta_min,theta_max",
-                traj.diagnostics)
-
-    lines = []
-    e0 = traj.diagnostics[0][1]
-    drift = max(abs(d[1] - e0) for d in traj.diagnostics) / max(abs(e0), 1e-300)
-    for st, eps_n in zip(traj.snapshots, node_strains):
+        eps_n = solver1d._node_average(st.strain(grid))
+        s_n = solver1d._node_average(compute_stress(
+            st, grid, setup.params, setup.bcs, setup.forcing))
+        blocks.append(_block(st.t, x, st.u, st.v, st.theta, eps_n, s_n))
         labels = classify_strain(eps_n, config.austenite_band)
         n_a = int(np.sum(labels == "A"))
         n_p = int(np.sum(labels == "M+"))
         n_m = int(np.sum(labels == "M-"))
         lines.append(f"t={st.t:.6g} A={n_a} M+={n_p} M-={n_m} "
                      f"eps_min={eps_n.min():.6g} eps_max={eps_n.max():.6g}")
+    _write_csv(os.path.join(out_dir, "snapshots.csv"),
+               "t,x,u,v,theta,strain,stress", blocks)
+    _write_csv(os.path.join(out_dir, "diagnostics.csv"),
+               "t,total_energy,max_abs_strain,theta_min,theta_max",
+               [traj.diagnostics])
+
+    e0 = traj.diagnostics[0][1]
+    drift = max(abs(d[1] - e0) for d in traj.diagnostics) / max(abs(e0), 1e-300)
     lines.append(f"max_energy_drift_relative={drift:.6g}")
     lines.append("final_labels=" + "".join(
-        {"A": "a", "M+": "+", "M-": "-"}[l] for l in
-        classify_strain(node_strains[-1], config.austenite_band)))
+        {"A": "a", "M+": "+", "M-": "-"}[l] for l in labels))
     _write_summary(out_dir, lines, traj)
 
 
@@ -727,30 +723,23 @@ def _write_summary(out_dir, lines, traj):
         fh.write("\n".join(lines) + "\n")
 
 
-def _write_slab_artifacts(out_dir, config, setup, traj):
-    n = setup.state0.U1.size
-    x = np.arange(n) * setup.dx
-    rows = []
-    for st in traj.snapshots:
-        for i in range(n):
-            rows.append((st.t, x[i], st.U1[i], st.U2[i], st.V1[i], st.V2[i],
-                         st.Th[i]))
-    _write_rows(os.path.join(out_dir, "snapshots.csv"),
-                "t,x,U1,U2,V1,V2,ThetaPrime", rows)
-    _write_rows(os.path.join(out_dir, "diagnostics.csv"),
-                "t,max_abs_U1x,max_abs_U2x,theta_prime_min,theta_prime_max",
-                traj.diagnostics)
+def _write_slab_artifacts(out_dir, config, traj):
+    setup = traj.setup
+    x = _grid_points(setup.length, setup.nx, setup.ends)
+    _write_csv(os.path.join(out_dir, "snapshots.csv"),
+               "t,x,U1,U2,V1,V2,ThetaPrime",
+               [_block(st.t, x, *st.fields()) for st in traj.snapshots])
+    _write_csv(os.path.join(out_dir, "diagnostics.csv"),
+               "t,max_abs_U1x,max_abs_U2x,theta_prime_min,theta_prime_max",
+               [traj.diagnostics])
     if config.reconstruct_y:
-        rows = []
-        for st in traj.snapshots:
-            u1, u2, th = reconstruct_fields(st, setup.params,
-                                            config.reconstruct_y, setup.dx,
-                                            setup.ends)
-            for j, yv in enumerate(config.reconstruct_y):
-                for i in range(n):
-                    rows.append((st.t, x[i], yv, u1[j, i], u2[j, i], th[j, i]))
-        _write_rows(os.path.join(out_dir, "reconstruction.csv"),
-                    "t,x,Y,u1,u2,theta", rows)
+        Y = np.array(config.reconstruct_y)
+        _write_csv(os.path.join(out_dir, "reconstruction.csv"),
+                   "t,x,Y,u1,u2,theta",
+                   (_block(st.t, x, Y[:, None],
+                           *reconstruct_fields(st, setup.params, Y, setup.dx,
+                                               setup.ends))
+                    for st in traj.snapshots))
     lines = [f"t={d[0]:.6g} max_abs_U1x={d[1]:.6g} max_abs_U2x={d[2]:.6g} "
              f"theta_prime=[{d[3]:.6g},{d[4]:.6g}]" for d in traj.diagnostics]
     _write_summary(out_dir, lines, traj)
@@ -777,7 +766,7 @@ def run(config: SimConfig, out_dir: str) -> int:
         traj = err.partial
         code = 2
     write = _write_slab_artifacts if slab_model else _write_1d_artifacts
-    write(out_dir, config, setup, traj)
+    write(out_dir, config, traj)
     return code
 
 

@@ -49,11 +49,8 @@ threshold.  Run configs (`cli`) with a finer grid are rejected when read.
 End conditions: periodic (default, used by the dispersion tests) or
 pinned-insulated (U_i = V_i = 0 and dTh/dx = 0 at the ends, applied through
 odd/even ghost extensions), a leading approximation for physical runs.
-
-`_SlabRhs` resolves the end treatment once per run and pads all five fields
-with one indexed gather; the right-hand side, the diagnostics and the
-reconstruction take every field derivative from it.  Each RK4 stage state
-must pass the ThetaPrime check of SlabState.validate.
+The README's "Numerical notes" describe how `_SlabRhs` pads the fields
+and checks every RK4 stage state.
 """
 
 from __future__ import annotations
@@ -62,7 +59,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver1d import IntegrationError, _drive, _rk4_step, _Trajectory
+from .solver1d import (Grid1D, IntegrationError, Trajectory, _check_positive,
+                       _drive, _stepper)
 
 __all__ = [
     "SlabParams",
@@ -75,13 +73,21 @@ __all__ = [
 ]
 
 ENDS = ("periodic", "pinned_insulated")
-_THETA_RANGE = "ThetaPrime must stay finite and above -300 K"
 
 
 def _check_theta(Th: np.ndarray):
     """ValueError unless every ThetaPrime is finite and above -300 K."""
     if not ((Th > -300.0) & (Th < np.inf)).all():
-        raise ValueError(_THETA_RANGE)
+        raise ValueError("ThetaPrime must stay finite and above -300 K")
+
+
+def _grid_points(length: float, nx: int, ends: str) -> np.ndarray:
+    """x of the grid points, spaced length/nx: nx points on [0, length) for
+    periodic ends, nx + 1 including both ends otherwise.  ValueError for
+    unknown ends."""
+    if ends not in ENDS:
+        raise ValueError(f"ends must be one of {ENDS}")
+    return np.arange(nx if ends == "periodic" else nx + 1) * (length / nx)
 
 
 @dataclass(frozen=True)
@@ -188,7 +194,8 @@ class SlabState:
 class _SlabRhs:
     """dz/dt for z = (U1, U2, V1, V2, ThetaPrime) of shape (5, n), as one
     new (5, n) array.  Raises IntegrationError(t) for a stage ThetaPrime
-    that SlabState.validate rejects and for a non-finite dV1, dV2 or dTh."""
+    that SlabState.validate rejects and for a non-finite dV1, dV2 or dTh.
+    Also the state packing, check and diagnostics of solver1d._drive."""
 
     def __init__(self, params: SlabParams, dx: float, ends: str, n: int):
         if ends not in ENDS:
@@ -213,10 +220,29 @@ class _SlabRhs:
                 (ap[:, 3:-1] - 2.0 * ap[:, 2:-2] + ap[:, 1:-3]) / self.dx ** 2,
                 ap)
 
+    def pack(self, state: SlabState) -> np.ndarray:
+        return state.fields()
+
+    def unpack(self, z: np.ndarray, t: float) -> SlabState:
+        return SlabState(t, *z.copy())
+
+    def check(self, z: np.ndarray):
+        _check_theta(z[4])
+
+    def diag(self, state: SlabState) -> tuple:
+        """Diagnostics row (t, max |U1x|, max |U2x|, ThetaPrime min and
+        max)."""
+        d1 = self.differences(state.fields())[0]
+        return (state.t, float(np.abs(d1[0]).max()),
+                float(np.abs(d1[1]).max()), float(state.Th.min()),
+                float(state.Th.max()))
+
     def __call__(self, z: np.ndarray, t: float) -> np.ndarray:
         p, Th = self.p, z[4]
-        if not ((Th > -300.0) & (Th < np.inf)).all():
-            raise IntegrationError(t, _THETA_RANGE)
+        try:
+            _check_theta(Th)
+        except ValueError as exc:
+            raise IntegrationError(t, str(exc)) from None
         b2, b4 = p.b * p.b, p.b ** 4
         d1, d2, zp = self.differences(z)
         d4 = (zp[:2, 4:] - 4.0 * zp[:2, 3:-1] + 6.0 * zp[:2, 2:-2]
@@ -327,13 +353,9 @@ class SlabRunSetup:
     ends: str = "periodic"
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_end <= 0 or self.output_interval <= 0:
-            raise ValueError("dt, t_end and output_interval must be positive")
-        if self.ends not in ENDS:
-            raise ValueError(f"ends must be one of {ENDS}")
-        if self.nx < 4:
-            raise ValueError("nx must be at least 4")
-        want = self.nx if self.ends == "periodic" else self.nx + 1
+        _check_positive(self)
+        Grid1D(self.length, self.nx)        # checks length and nx
+        want = _grid_points(self.length, self.nx, self.ends).size
         if self.state0.U1.size != want:
             raise ValueError(f"state arrays must have {want} points for "
                              f"{self.ends} ends")
@@ -343,13 +365,7 @@ class SlabRunSetup:
         return self.length / self.nx
 
 
-@dataclass
-class SlabTrajectory(_Trajectory):
-    params: SlabParams
-    dx: float
-
-
-def slab_simulate(setup: SlabRunSetup) -> SlabTrajectory:
+def slab_simulate(setup: SlabRunSetup) -> Trajectory:
     """RK4 time integration of the reduced model.
 
     Runs on the 1D solver's driver (solver1d._drive), so the cadence and
@@ -358,16 +374,6 @@ def slab_simulate(setup: SlabRunSetup) -> SlabTrajectory:
     failure, an RK4 stage state that check rejects included, raises
     solver1d.IntegrationError with the partial trajectory as `partial`.
     """
-    p, dx = setup.params, setup.dx
-    rhs = _SlabRhs(p, dx, setup.ends, setup.state0.U1.size)
-
-    def diag(s):
-        d1 = rhs.differences(s.fields())[0]
-        return (s.t, float(np.abs(d1[0]).max()), float(np.abs(d1[1]).max()),
-                float(s.Th.min()), float(s.Th.max()))
-
-    return _drive(SlabTrajectory(p, dx), setup, setup.state0.copy().validate(),
-                  SlabState.fields, lambda z, t: SlabState(t, *z.copy()),
-                  lambda z: _check_theta(z[4]),
-                  lambda z, t, dt: _rk4_step(z, t, dt, rhs),
-                  diag)
+    rhs = _SlabRhs(setup.params, setup.dx, setup.ends, setup.state0.U1.size)
+    return _drive(setup, setup.state0.copy().validate(), rhs,
+                  _stepper(rhs, "rk4"))

@@ -30,37 +30,13 @@ required by the relaxation coupling terms is evaluated from the momentum
 right-hand side, so no stage lagging is needed.  The nu theta_dot terms are
 linear in the unknown rate and are eliminated pointwise.
 
-Integrators: classical explicit RK4 (default; subject to the CFL-style
-bound of `stable_dt`), and two fixed-step implicit one-step methods with a
-damped banded Newton solver, `implicit_euler` and `implicit_midpoint`.
-The banded Jacobian comes from coloured finite differences (Curtis, Powell
-and Reid): columns j with equal j mod (2 hb + 1) share a perturbation, and
-f(z) and all 2 hb + 1 coloured perturbations are evaluated in a single
-right-hand-side call on a stack of states, which gives each row the same
-bits as its own call would.
-The Newton matrix I - w J is factored once per Jacobian build (banded LU,
-LAPACK gbtrf) and its factors are reused by every solve of the chord
-iterations that follow, across steps (simplified Newton).  scipy's banded
-LAPACK routines are imported when an implicit run is set up (RunSetup), or
-at the first factorisation of a one-shot step(); RK4 bar runs and slab
-runs never load scipy.linalg.  Reuse is
-decided from the observed contraction rate theta = |dz_k| / |dz_k-1|
-(Hairer & Wanner, Solving ODEs II, IV.8): the first time in a solve that
-theta exceeds THETA_REFRESH, I - w J is rebuilt and refactored at the
-current iterate and the chord iteration continues from there with the new
-factors.  The chord iteration stops on |dz_k| < TOL or on the error
-estimate theta / (1 - theta) |dz_k| < TOL; one whose residual stops
-decreasing gives way to damped Newton from the step state.  A singular
-factor or a non-finite solve is a failed solve, handled like a diverging
-iteration: the chord iteration gives way to Newton, and a failed Newton
-solve halves the step.
-Inside the spinodal strain band the frozen-coefficient problem is locally
-ill-posed for mu = gamma = 0 (the tangent modulus is negative), so
-grid-scale perturbations grow at a physical rate; the backward Euler
-scheme damps those modes at any step size and is the integrator that
-reproduces the phase-transformation experiments at their large quoted time
-steps.  The Newton solver falls back to local step halving when a step
-lands on a snap-through it cannot resolve.
+Integrators: classical explicit RK4 (default; subject to the bound of
+`stable_dt`) and the fixed-step implicit `implicit_euler` and
+`implicit_midpoint`, solved by chord iterations on banded LU factors of a
+coloured finite-difference Jacobian (`_ImplicitStepper`).  The README's
+"Numerical notes" give the chord iteration's refresh and stopping rules,
+when scipy's LAPACK is imported, and why backward Euler is the integrator
+of the phase-transformation experiments.
 """
 
 from __future__ import annotations
@@ -107,6 +83,16 @@ class IntegrationError(RuntimeError):
         self.reason = reason
 
 
+def _check_positive(obj, names=("dt", "t_end", "output_interval")):
+    """ValueError unless each named attribute of obj (by default the run
+    times) is positive and finite."""
+    for name in names:
+        value = getattr(obj, name)
+        if not 0 < value < np.inf:
+            raise ValueError(f"{name} must be "
+                             f"{'finite' if value > 0 else 'positive'}")
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform staggered grid: nx cells on [0, length]."""
@@ -115,8 +101,7 @@ class Grid1D:
     nx: int
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise ValueError("length must be positive")
+        _check_positive(self, ("length",))
         if self.nx < 4:
             raise ValueError("nx must be at least 4")
 
@@ -311,6 +296,13 @@ class _Rhs:
         positive; reads a view of z."""
         if (z[2::self.nf] <= 0).any():
             raise ValueError("non-positive temperature")
+
+    def diag(self, state: FieldState) -> tuple:
+        """Diagnostics row (t, total energy, max |eps|, theta_min,
+        theta_max)."""
+        return (state.t, energy_budget(state, self.grid, self.p),
+                float(np.abs(state.strain(self.grid)).max()),
+                float(state.theta.min()), float(state.theta.max()))
 
     # -- physics ------------------------------------------------------------
 
@@ -834,8 +826,9 @@ def _clamp_ends(state: FieldState, bcs: BoundarySpec) -> FieldState:
     return state
 
 
-def _stepper(f: _Rhs, integrator: str):
-    """advance(z, t, dt): one step of the selected integrator."""
+def _stepper(f, integrator: str):
+    """advance(z, t, dt): one step of the selected integrator on the
+    right-hand side f (the implicit ones need the bar's _Rhs)."""
     if integrator == "rk4":
         return lambda z, t, dt: _rk4_step(z, t, dt, f)
     return _ImplicitStepper(f, integrator).advance
@@ -872,28 +865,30 @@ def step(state: FieldState, dt: float, grid: Grid1D, params: MaterialParams1D,
     return f.unpack(z1, state.t + dt)
 
 
-def _drive(traj, setup, state, pack, unpack, check, advance, diag):
+def _drive(setup, state, f, advance) -> Trajectory:
     """Advance state from t = 0 to setup.t_end in fixed steps of setup.dt
-    (the last one shortened to end on t_end), filling and returning traj.
+    (the last one shortened to end on t_end) and return the Trajectory of
+    setup.
 
-    Models supply advance(z, t, dt) on z = pack(state), check(z) that
-    raises ValueError on a state the model rejects, unpack(z, t) that
-    builds a state with its own copy of z's values, and diag(state).
-    Every step's z is checked; a state is built only when it is stored.
-    The state at t = 0 is stored, then for each multiple of output_interval
-    the state at the first step time reaching it (repeated when
-    output_interval < dt).  A non-finite or rejected step is not stored:
-    IntegrationError at its end time, with traj (failed, failure set)
-    attached as `partial`.
+    The model's right-hand side f supplies pack(state) -> z, unpack(z, t)
+    that builds a state with its own copy of z's values, check(z) that
+    raises ValueError on a state the model rejects, and diag(state), the
+    diagnostics row; advance(z, t, dt) takes one step.  Every step's z is
+    checked; a state is built only when it is stored.  The state at t = 0
+    is stored, then for each multiple of output_interval the state at the
+    first step time reaching it (repeated when output_interval < dt).  A
+    non-finite or rejected step is not stored: IntegrationError at its end
+    time, with the trajectory (failed, failure set) attached as `partial`.
     """
+    traj = Trajectory(setup)
     n_snap = int(np.floor(setup.t_end / setup.output_interval + 1e-9)) + 1
     snap_times = np.arange(n_snap) * setup.output_interval
     tol = 1e-9 * max(setup.dt, setup.output_interval)
     traj.snapshots.append(state.copy())
-    traj.diagnostics.append(diag(state))
+    traj.diagnostics.append(f.diag(state))
     next_snap = 1
 
-    z = pack(state)
+    z = f.pack(state)
     n_steps = int(np.ceil(setup.t_end / setup.dt - 1e-9))
     t = 0.0
     try:
@@ -901,11 +896,11 @@ def _drive(traj, setup, state, pack, unpack, check, advance, diag):
             dt = min(setup.dt, setup.t_end - t)
             z = advance(z, t, dt)
             t = (n + 1) * setup.dt if dt == setup.dt else setup.t_end
-            _accept(z, t, check)
+            _accept(z, t, f.check)
             while next_snap < n_snap and t >= snap_times[next_snap] - tol:
-                state = unpack(z, t)
+                state = f.unpack(z, t)
                 traj.snapshots.append(state)
-                traj.diagnostics.append(diag(state))
+                traj.diagnostics.append(f.diag(state))
                 next_snap += 1
     except IntegrationError as err:
         traj.failed = True
@@ -931,18 +926,20 @@ class RunSetup:
     gamma_sign: float = 1.0
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_end <= 0 or self.output_interval <= 0:
-            raise ValueError("dt, t_end and output_interval must be positive")
+        _check_positive(self)
         if self.integrator not in INTEGRATORS:
             raise ValueError(f"integrator must be one of {INTEGRATORS}")
         if self.integrator != "rk4":
             _lapack()   # load LAPACK at set-up, not inside simulate()
 
 
-@dataclass(kw_only=True)
-class _Trajectory:
-    """Snapshots, one diagnostics row each, and a run's abort status."""
+@dataclass
+class Trajectory:
+    """The output of a run of either model: its setup (RunSetup or
+    slab.SlabRunSetup), the stored snapshots, one diagnostics row each
+    (the model's diag), and the abort status."""
 
+    setup: object
     snapshots: list = field(default_factory=list)
     diagnostics: list = field(default_factory=list)
     failed: bool = False
@@ -950,22 +947,6 @@ class _Trajectory:
 
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.snapshots])
-
-
-@dataclass
-class Trajectory(_Trajectory):
-    """Bar run output; diagnostics rows are (t, total_energy, max|eps|,
-    theta_min, theta_max)."""
-
-    grid: Grid1D
-    params: MaterialParams1D
-
-
-def _diag_row(state: FieldState, grid: Grid1D, params: MaterialParams1D):
-    eps = state.strain(grid)
-    return (state.t, energy_budget(state, grid, params),
-            float(np.abs(eps).max()), float(state.theta.min()),
-            float(state.theta.max()))
 
 
 def simulate(setup: RunSetup) -> Trajectory:
@@ -976,10 +957,8 @@ def simulate(setup: RunSetup) -> Trajectory:
     the partial trajectory is attached to the raised IntegrationError as
     its `partial` attribute.
     """
-    grid, params = setup.grid, setup.params
     state = _clamp_ends(setup.state0.copy(), setup.bcs)
-    state.validate(grid, params)
-    f = _Rhs(grid, params, setup.bcs, setup.forcing, setup.gamma_sign)
-    return _drive(Trajectory(grid, params), setup, state, f.pack, f.unpack,
-                  f.check, _stepper(f, setup.integrator),
-                  lambda s: _diag_row(s, grid, params))
+    state.validate(setup.grid, setup.params)
+    f = _Rhs(setup.grid, setup.params, setup.bcs, setup.forcing,
+             setup.gamma_sign)
+    return _drive(setup, state, f, _stepper(f, setup.integrator))

@@ -175,7 +175,7 @@ def test_c06_fourier_limit():
 
 def test_c07_experiment1_phase_story(experiment1_run):
     cfg, traj, elapsed = experiment1_run
-    grid = traj.grid
+    grid = traj.setup.grid
     eps = np.array([s.strain(grid) for s in traj.snapshots])
     t = traj.times()
     max_abs = np.abs(eps).max(axis=1)
@@ -196,7 +196,7 @@ def test_c08_experiment2_loading_cycles():
     cfg = preset("experiment2")
     traj = simulate(cfg.resolve())
     elapsed = time.monotonic() - t0
-    grid = traj.grid
+    grid = traj.setup.grid
     t = traj.times()
     eps = np.array([s.strain(grid) for s in traj.snapshots])
     max_abs = np.abs(eps).max(axis=1)
@@ -269,8 +269,8 @@ def test_c10_ginsburg_insensitivity(experiment1_run):
     cfg = replace(cfg, material=cfg.material.with_(gamma=1e-10))
     traj1 = simulate(cfg.resolve())
     elapsed = time.monotonic() - t0 + base_elapsed
-    eps0 = traj0.snapshots[-1].strain(traj0.grid)
-    eps1 = traj1.snapshots[-1].strain(traj1.grid)
+    eps0 = traj0.snapshots[-1].strain(traj0.setup.grid)
+    eps1 = traj1.snapshots[-1].strain(traj1.setup.grid)
     diff = np.abs(eps0 - eps1).max()
     ok = diff < 1e-3 and elapsed < 120.0
     _report(10, "Ginsburg insensitivity", ok,

@@ -29,8 +29,9 @@ from smabar.cli import (
 )
 from smabar.constitutive import MaterialParams1D
 from smabar.manufactured import ZERO_RATES
-from smabar.slab import SlabParams, SlabRunSetup, slab_simulate
-from smabar.solver1d import (MECH_KINDS, THERMAL_KINDS, BoundarySpec,
+from smabar.slab import (ENDS, SlabParams, SlabRunSetup, SlabState,
+                         reconstruct_fields, slab_simulate)
+from smabar.solver1d import (MECH_KINDS, THERMAL_KINDS, BoundarySpec, Grid1D,
                              IntegrationError, _clamp_ends, simulate,
                              stable_dt)
 
@@ -427,6 +428,34 @@ class TestRunArtifacts:
         assert rec[0] == "t,x,Y,u1,u2,theta"
         assert len(rec) == 1 + 3 * 2 * 32     # snapshots * Y values * points
 
+    @pytest.mark.parametrize("ends", ENDS)
+    def test_reconstruction_rows(self, tmp_path, ends):
+        """reconstruction.csv holds, in (t, Y, x) order, reconstruct_fields
+        at each scalar Y of each snapshot, to the last bit."""
+        cfg = _read_config_text(
+            SLAB.replace("pinned_insulated", ends),
+            ["time.t_end=0.004", "output.reconstruct_y=0.25, -1.0, 0.5"])
+        assert run(cfg, str(tmp_path)) == 0
+        setup = cfg.resolve()
+        n = setup.state0.U1.size
+        x = np.arange(n) * setup.dx
+
+        def read(name):
+            rows = (tmp_path / name).read_text().splitlines()[1:]
+            return np.array([[float(v) for v in r.split(",")] for r in rows])
+
+        expected = []
+        for snap in read("snapshots.csv").reshape(-1, n, 7):
+            state = SlabState(snap[0, 0], *snap[:, 2:].T.copy())
+            for y in cfg.reconstruct_y:
+                fields = reconstruct_fields(state, setup.params, y, setup.dx,
+                                            ends)
+                expected.append(np.column_stack(
+                    [snap[:, 0], x, np.full(n, y), *fields]))
+        assert len(expected) == 3 * 3
+        np.testing.assert_array_equal(read("reconstruction.csv"),
+                                      np.concatenate(expected))
+
 
 # the bar: a heat sink that drives theta through zero at t = 0.008 ms
 # (an RK4 dt above the stable step is refused before the run starts);
@@ -490,6 +519,28 @@ class TestDriverContract:
         assert partial.times()[-1] < err.value.time
         for state in partial.snapshots:
             _check_state(setup, state)
+
+
+@pytest.mark.parametrize("model", list(MODELS))
+class TestSetupValidation:
+    """RunSetup and SlabRunSetup refuse run times and lengths that are not
+    positive and finite, which the driver could not step through."""
+
+    @pytest.mark.parametrize("name, value", [
+        ("dt", np.nan), ("output_interval", np.nan), ("t_end", np.inf)])
+    def test_times(self, model, name, value):
+        setup = _setup(model, [])
+        with pytest.raises(ValueError, match=name):
+            replace(setup, **{name: value})
+
+    @pytest.mark.parametrize("length", [-1.0, np.nan])
+    def test_length(self, model, length):
+        setup = _setup(model, [])
+        with pytest.raises(ValueError, match="length"):
+            if model == "slab":
+                replace(setup, length=length)
+            else:
+                replace(setup, grid=Grid1D(length, setup.grid.nx))
 
 
 def _source(run, tmp):

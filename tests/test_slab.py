@@ -43,7 +43,7 @@ def standing_wave(field, amplitude, k=1.0, n=NX):
 def measured_frequency(traj, field, k=1.0):
     """Standing-wave frequency from the first zero crossing of the modal
     coefficient a(t) = A cos(omega t)."""
-    x = np.arange(getattr(traj.snapshots[0], field).size) * traj.dx
+    x = np.arange(getattr(traj.snapshots[0], field).size) * traj.setup.dx
     proj = np.array([2.0 / x.size * np.sum(getattr(s, field) * np.sin(k * x))
                      for s in traj.snapshots])
     t = traj.times()
