@@ -202,8 +202,8 @@ _KINDS = {
 
 _BREAKPOINTS = ("initial", "u_breakpoints")
 
-# Validity bound on floor(t_end/output_interval) + 1, the snapshot count of
-# solver1d._drive: a million snapshots already means (nx+1) million CSV rows.
+# Validity bound on solver1d._snapshot_count, the snapshot count of a run:
+# a million snapshots already means (nx+1) million CSV rows.
 _MAX_SNAPSHOTS = 10**6
 
 # Smallest positive [material] tau0 (ms).  The theta_dot equation divides by
@@ -269,7 +269,8 @@ class SimConfig:
             solver1d._check_positive(self)
         except ValueError as exc:
             raise ConfigError(f"[time] {exc}") from exc
-        if self.t_end / self.output_interval + 1e-9 >= _MAX_SNAPSHOTS:
+        if (solver1d._snapshot_count(self.t_end, self.output_interval)
+                > _MAX_SNAPSHOTS):
             raise ConfigError(
                 f"[time] t_end/output_interval asks for more than "
                 f"{_MAX_SNAPSHOTS} snapshots")

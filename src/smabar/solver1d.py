@@ -35,12 +35,14 @@ Integrators: classical explicit RK4 (default; subject to the bound of
 `implicit_midpoint`, solved by chord iterations on banded LU factors of a
 coloured finite-difference Jacobian (`_ImplicitStepper`).  The README's
 "Numerical notes" give the chord iteration's refresh and stopping rules,
-when scipy's LAPACK is imported, and why backward Euler is the integrator
-of the phase-transformation experiments.
+when and how scipy's LAPACK is loaded, and why backward Euler is the
+integrator of the phase-transformation experiments.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable, Optional
@@ -522,10 +524,32 @@ def _rk4_step(z: np.ndarray, t: float, dt: float, f: Callable) -> np.ndarray:
 
 @cache
 def _lapack():
-    """(dgbtrf, dgbtrs), imported on first use: importing scipy.linalg
-    costs about 0.3 s and RK4 and slab runs never factor a matrix."""
-    from scipy.linalg.lapack import dgbtrf, dgbtrs
-    return dgbtrf, dgbtrs
+    """(dgbtrf, dgbtrs), loaded on first use: RK4 and slab runs never
+    factor a matrix.
+
+    They come from scipy.linalg._flapack, the compiled wrapper that
+    scipy.linalg.lapack re-exports, loaded by file path so that the
+    scipy.linalg package __init__ never runs: it imports all of
+    scipy.linalg, more than ten times the load time of the wrapper alone
+    (README).  `import scipy` comes first because it runs scipy's
+    distributor init, which on Windows puts the bundled OpenBLAS DLL on
+    the search path.  A missing wrapper is an ImportError naming the
+    path, so a change in scipy's layout fails loudly."""
+    import scipy
+    from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+    from importlib.util import module_from_spec, spec_from_file_location
+
+    name = "scipy.linalg._flapack"
+    path = os.path.join(os.path.dirname(scipy.__file__), "linalg",
+                        "_flapack" + EXTENSION_SUFFIXES[0])
+    if not os.path.isfile(path):
+        raise ImportError(f"scipy's LAPACK wrapper {path} does not exist",
+                          name=name, path=path)
+    loader = ExtensionFileLoader(name, path)
+    flapack = module_from_spec(spec_from_file_location(name, path,
+                                                       loader=loader))
+    loader.exec_module(flapack)
+    return flapack.dgbtrf, flapack.dgbtrs
 
 
 def _band_lu(ab: np.ndarray, hb: int):
@@ -865,6 +889,14 @@ def step(state: FieldState, dt: float, grid: Grid1D, params: MaterialParams1D,
     return f.unpack(z1, state.t + dt)
 
 
+def _snapshot_count(t_end: float, output_interval: float) -> int:
+    """floor(t_end/output_interval) + 1, the number of snapshots _drive
+    stores (t = 0 and one per multiple of output_interval); the 1e-9
+    absorbs round-off in a ratio meant to be whole.  Both times are
+    positive, and a ratio that overflows counts as the largest float."""
+    return int(min(t_end / output_interval + 1e-9, sys.float_info.max)) + 1
+
+
 def _drive(setup, state, f, advance) -> Trajectory:
     """Advance state from t = 0 to setup.t_end in fixed steps of setup.dt
     (the last one shortened to end on t_end) and return the Trajectory of
@@ -881,7 +913,7 @@ def _drive(setup, state, f, advance) -> Trajectory:
     time, with the trajectory (failed, failure set) attached as `partial`.
     """
     traj = Trajectory(setup)
-    n_snap = int(np.floor(setup.t_end / setup.output_interval + 1e-9)) + 1
+    n_snap = _snapshot_count(setup.t_end, setup.output_interval)
     snap_times = np.arange(n_snap) * setup.output_interval
     tol = 1e-9 * max(setup.dt, setup.output_interval)
     traj.snapshots.append(state.copy())

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from smabar import solver1d
 from smabar.cli import (
     _KINDS,
     _SCHEMA,
@@ -635,9 +636,11 @@ class TestMain:
         ("mms", "material.gamma=1e-30", "gamma = 1e-30"),
         ("conservation", "time.output_interval=1e-30", "1000000 snapshots"),
         ("slab", "time.output_interval=1e-30", "1000000 snapshots"),
+        ("conservation", "time.output_interval=5e-324", "1000000 snapshots"),
         ("experiment2", "material.tau0=1e-101", "tau0 = 1e-101"),
         ("experiment2", "material.tau0=5e-324", "at least 1e-100 ms"),
     ], ids=["mms_mu", "mms_gamma", "bar_snapshots", "slab_snapshots",
+            "snapshot_ratio_overflow",
             "tau0_below_floor", "tau0_subnormal"])
     def test_outside_validity_is_config_error(self, tmp_path, capsys, run,
                                               override, message):
@@ -654,6 +657,22 @@ class TestMain:
         replace(cfg, output_interval=1.0 / 999_999).validate()   # 10^6
         with pytest.raises(ConfigError, match="snapshots"):
             replace(cfg, output_interval=1e-6).validate()        # 10^6 + 1
+
+    @pytest.mark.parametrize("t_end, count", [
+        (999_999.0, 10**6), (1e6 - 1e-6, 10**6),
+        (np.nextafter(1e6, 0.0), 10**6 + 1), (1e6, 10**6 + 1)],
+        ids=["1e6-1", "below-1e6", "next-below-1e6", "1e6"])
+    def test_snapshot_ceiling_follows_the_snapshot_count(self, t_end, count):
+        """validate rejects exactly the runs for which the stored
+        snapshot count, solver1d._snapshot_count, is above 10^6 (its 1e-9
+        round-off allowance takes the ratio one float below 10^6 as 10^6)."""
+        cfg = replace(preset("conservation"), t_end=t_end, output_interval=1.0)
+        assert solver1d._snapshot_count(t_end, 1.0) == count
+        if count > 10**6:
+            with pytest.raises(ConfigError, match="than 1000000 snapshots"):
+                cfg.validate()
+        else:
+            cfg.validate()
 
 
 def _experiment2_snapshots(tmp, tau0):

@@ -1,7 +1,8 @@
 """Every name a smabar module lists in __all__ exists, so a deleted
 function cannot leave a dead export behind; the package serves its cli
-names without importing smabar.cli up front; runs load sympy never and
-scipy's LAPACK only when they integrate implicitly."""
+names without importing smabar.cli up front; runs load sympy never,
+scipy's LAPACK wrapper only when they integrate implicitly, and the
+scipy.linalg package never."""
 
 import os
 import pkgutil
@@ -75,67 +76,77 @@ def test_runs_never_import_sympy(tmp_path):
     assert (tmp_path / "mms" / "summary.txt").exists()
 
 
-_RK4_RUNS = """
+_RUNS = """
 import sys
 import smabar
 seen = ["scipy.linalg" in sys.modules]
-from smabar import cli
+from smabar import cli, solver1d
 for argv in (["--preset", "conservation", "--override", "time.t_end=0.002"],
-             ["--config", sys.argv[1], "--override", "time.t_end=0.01"]):
+             ["--config", sys.argv[1], "--override", "time.t_end=0.01"],
+             ["--preset", "experiment2", "--override", "time.t_end=0.004"]):
     seen += [cli.main(["run", *argv, "--out", sys.argv[2]]),
+             solver1d._lapack.cache_info().currsize,
              "scipy.linalg" in sys.modules]
 print(*seen)
 """
 
 
-def test_rk4_and_slab_runs_never_import_lapack(tmp_path):
+def test_runs_never_import_scipy_linalg(tmp_path):
     """Only the implicit integrators factor a matrix, so neither the package
-    import nor an RK4 bar run nor a slab run loads scipy.linalg."""
+    import nor an RK4 bar run nor a slab run loads LAPACK, and an implicit
+    run loads scipy's compiled wrapper alone: no run imports scipy.linalg."""
     ini = os.path.join(os.path.dirname(SRC), "bench", "slab_reconstruct.ini")
-    out = _python(_RK4_RUNS, ini, tmp_path / "o")
-    assert out[-5:] == ["False", "0", "False", "0", "False"], out
+    out = _python(_RUNS, ini, tmp_path / "o")
+    assert out[-10:] == ["False", "0", "0", "False", "0", "0", "False",
+                         "0", "1", "False"], out
 
 
 _IMPLICIT_SETUP = """
 import sys
-from smabar import cli
+from smabar import cli, solver1d
 loaded = []
 resolve = cli.SimConfig.resolve
 
 def resolved(self):
     setup = resolve(self)
-    loaded.append("scipy.linalg" in sys.modules)
+    loaded.append(solver1d._lapack.cache_info().currsize)
     return setup
 
 cli.SimConfig.resolve = resolved
-before = "scipy.linalg" in sys.modules
+before = solver1d._lapack.cache_info().currsize
 code = cli.main(["run", "--preset", "experiment2", "--override",
                  "time.t_end=0.004", "--out", sys.argv[1]])
-print(before, code, *loaded)
+print(before, code, *loaded, "scipy.linalg" in sys.modules)
 """
 
 
 def test_implicit_run_loads_lapack_at_setup(tmp_path):
-    """An implicit run pays the LAPACK import while it is set up, by the
-    time SimConfig.resolve returns, not inside the integration."""
+    """An implicit run loads LAPACK while it is set up, by the time
+    SimConfig.resolve returns, not inside the integration, and the run
+    never imports scipy.linalg."""
     out = _python(_IMPLICIT_SETUP, tmp_path / "e2")
-    assert out[-3:] == ["False", "0", "True"], out
+    assert out[-4:] == ["0", "0", "1", "False"], out
 
 
 _ONE_SHOT_STEP = """
+import sys
 import numpy as np
 from smabar import (BoundarySpec, FieldState, Forcing, Grid1D, cu_based,
-                    step)
+                    solver1d, step)
 grid = Grid1D(1.0, 8)
 x = grid.nodes()
 state = FieldState(0.0, 0.01 * np.sin(np.pi * x), np.zeros_like(x),
                    np.full_like(x, 250.0))
+before = solver1d._lapack.cache_info().currsize
 out = step(state, 1e-3, grid, cu_based(), BoundarySpec("pinned", "insulated"),
            Forcing.none(), "implicit_euler")
-print(np.isfinite(out.u).all(), out.t == 1e-3)
+print(np.isfinite(out.u).all(), out.t == 1e-3, before,
+      solver1d._lapack.cache_info().currsize, "scipy.linalg" in sys.modules)
 """
 
 
 def test_one_shot_implicit_step_without_a_run_setup():
-    """The public step() loads LAPACK itself on its first factorisation."""
-    assert _python(_ONE_SHOT_STEP)[-2:] == ["True", "True"]
+    """The public step() loads LAPACK itself on its first factorisation,
+    without importing scipy.linalg."""
+    out = _python(_ONE_SHOT_STEP)
+    assert out[-5:] == ["True", "True", "0", "1", "False"], out

@@ -379,6 +379,51 @@ class TestImplicitSolver:
         assert _band_solve(factors, hb, b) is None
         assert _band_solve(factors, hb, np.ones(n)) is not None
 
+    @pytest.mark.parametrize("changed", [
+        {}, {"nu": 3.0}, {"tau0": 1e-3}, {"gamma": 1e-6},
+        {"tau0": 1e-3, "gamma": 1e-6}],
+        ids=["base", "nu", "tau0", "ginsburg", "ginsburg-tau0"])
+    def test_loaded_wrapper_matches_scipy_linalg_lapack(self, changed,
+                                                        monkeypatch):
+        """_lapack loads scipy's compiled wrapper without scipy.linalg: its
+        gbtrf/gbtrs give the same bits as scipy.linalg.lapack's at each
+        stepper's half-bandwidth, and a singular band fails on both."""
+        from scipy.linalg import lapack
+        f = _Rhs(Grid1D(1.0, 8), P.with_(**changed), BoundarySpec(),
+                 Forcing.none())
+        hb = _ImplicitStepper(f, "implicit_euler").half_bw
+        ours, scipys = solver1d._lapack(), (lapack.dgbtrf, lapack.dgbtrs)
+        rng = np.random.default_rng(hb)
+        for n in (1, hb, 2 * hb + 3, 60):
+            ab = _lu_storage(rng.uniform(-1.0, 1.0, (2 * hb + 1, n)), hb)
+            b = rng.uniform(-1e3, 1e3, n)
+            got, want = (trf(ab.copy(), hb, hb) for trf, _ in (ours, scipys))
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+            assert got[2] == 0
+            x, x_info = ours[1](got[0], hb, hb, b, got[1])
+            y, y_info = scipys[1](want[0], hb, hb, b, want[1])
+            np.testing.assert_array_equal(x, y)
+            assert x_info == y_info == 0
+
+        singular = _lu_storage(rng.uniform(-1.0, 1.0, (2 * hb + 1, 30)), hb)
+        singular[:, 7] = 0.0                  # a zero column
+        assert ours[0](singular.copy(), hb, hb)[2] == 8
+        assert scipys[0](singular.copy(), hb, hb)[2] == 8
+        for routines in (ours, scipys):
+            monkeypatch.setattr(solver1d, "_lapack", lambda: routines)
+            assert _band_lu(singular.copy(), hb) is None
+
+    def test_missing_wrapper_is_import_error_naming_its_path(self,
+                                                             monkeypatch):
+        """A scipy without _flapack where _lapack looks for it fails loudly:
+        there is no fallback to another loader."""
+        import importlib.machinery
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES",
+                            [".no-such-suffix"])
+        with pytest.raises(ImportError, match=r"_flapack\.no-such-suffix"):
+            solver1d._lapack.__wrapped__()
+
     @settings(max_examples=400, deadline=None)
     @given(plausibility_probes())
     def test_plausible_matches_reference(self, drawn):
