@@ -10,50 +10,12 @@ Subpackages:
 * cli          -- config files, presets, run orchestration (`sma` command)
 """
 
-from .constitutive import (
-    MaterialParams1D,
-    conductivity,
-    cu_based,
-    entropy,
-    equilibrium_stress,
-    free_energy,
-    internal_energy,
-    strain_energy,
-)
-from .invariants3d import (
-    FalkKonopkaCoeffs,
-    Strain3,
-    StrainInvariants,
-    cu_based_3d,
-    cubic_group_elements,
-    free_energy_3d,
-    invariants,
-)
-from .manufactured import MmsCase, build_mms_case
-from .slab import (
-    SlabParams,
-    SlabRunSetup,
-    SlabState,
-    cu_based_slab,
-    reconstruct_fields,
-    slab_rhs,
-    slab_simulate,
-)
-from .solver1d import (
-    BoundarySpec,
-    FieldState,
-    Forcing,
-    Grid1D,
-    IntegrationError,
-    RunSetup,
-    Trajectory,
-    compute_stress,
-    energy_budget,
-    rhs,
-    simulate,
-    stable_dt,
-    step,
-)
+# each module's __all__ is the one list of its public names
+from .constitutive import *
+from .invariants3d import *
+from .manufactured import *
+from .slab import *
+from .solver1d import *
 
 __version__ = "0.1.0"
 

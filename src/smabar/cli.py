@@ -56,6 +56,7 @@ import io
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from functools import reduce
 
@@ -63,9 +64,10 @@ import numpy as np
 
 from . import solver1d
 from .constitutive import MaterialParams1D, cu_based
-from .manufactured import ZERO_RATES, build_mms_case
-from .slab import (ENDS, SlabParams, SlabRunSetup, SlabState, _grid_points,
-                   cu_based_slab, reconstruct_fields, slab_simulate)
+from .manufactured import build_mms_case
+from .slab import (ENDS, SlabParams, SlabRunSetup, SlabState, _check_y,
+                   _grid_points, cu_based_slab, reconstruct_fields,
+                   slab_simulate)
 from .solver1d import (BoundarySpec, FieldState, Forcing, Grid1D,
                        IntegrationError, RunSetup, compute_stress, simulate)
 
@@ -77,6 +79,16 @@ PRESETS = ("experiment1", "experiment2", "conservation", "mms")
 
 class ConfigError(ValueError):
     """Invalid or unparsable run configuration."""
+
+
+@contextmanager
+def _reraised(prefix: str):
+    """Re-raise a ValueError from the block as a ConfigError whose message
+    is prefix (the section, key or override) and then the ValueError's."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{prefix} {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -265,19 +277,15 @@ class SimConfig:
                 raise ConfigError(
                     f"[{section}] {key} = {_lookup(self, path)!r}: the "
                     f"{self.model} model accepts {', '.join(allowed)}")
-        try:
+        with _reraised("[time]"):
             solver1d._check_positive(self)
-        except ValueError as exc:
-            raise ConfigError(f"[time] {exc}") from exc
         if (solver1d._snapshot_count(self.t_end, self.output_interval)
                 > _MAX_SNAPSHOTS):
             raise ConfigError(
                 f"[time] t_end/output_interval asks for more than "
                 f"{_MAX_SNAPSHOTS} snapshots")
-        try:
-            Grid1D(self.length, self.nx)
-        except ValueError as exc:
-            raise ConfigError(f"[grid] {exc}") from exc
+        with _reraised("[grid]"):
+            grid = Grid1D(self.length, self.nx)
         if self.austenite_band <= 0 or self.martensite_band < self.austenite_band:
             raise ConfigError("[phases] bands must satisfy 0 < austenite_band "
                               "<= martensite_band")
@@ -294,33 +302,27 @@ class SimConfig:
                     f"[grid] dx = length/nx = {dx:.6g} cm must exceed the "
                     f"slab's long-wave bound pi b sqrt(c_disp/c_wave) = "
                     f"{min_dx:.6g} cm")
-            if not all(-1.0 <= y <= 1.0 for y in self.reconstruct_y):
-                raise ConfigError("[output] reconstruct_y values must lie "
-                                  "in [-1, 1]")
+            with _reraised("[output] reconstruct_y:"):
+                _check_y(self.reconstruct_y)
         else:
             if 0 < self.material.tau0 < _TAU0_FLOOR:
                 raise ConfigError(
                     f"[material] tau0 = {self.material.tau0!r}: a positive "
                     f"tau0 must be at least {_TAU0_FLOOR:g} ms (0 gives "
                     f"Fourier conduction)")
-            rates = [f"{name} = {getattr(self.material, name)!r}"
-                     for name in ZERO_RATES
-                     if getattr(self.material, name) != 0]
-            if self.needs_mms and rates:
+            with _reraised("[material]"):
+                case = self._mms_case() if self.needs_mms else None
+            # the initial temperature at the nodes, as the run starts it
+            theta = self._initial_theta(grid, case)
+            if self.bcs.thermal == "fixed_theta":
+                if self.bcs.fixed_value <= 0:
+                    raise ConfigError("[bcs] fixed_value must be positive")
+                theta[[0, -1]] = self.bcs.fixed_value
+            if not (theta > 0).all():
                 raise ConfigError(
-                    "mms forcing covers tau0 = mu = nu = gamma = 0 only; "
-                    f"[material] has {', '.join(rates)}")
-            ini, mms = self.initial, self.mms
-            lowest = {"const": ini.theta_value,
-                      "cosine": ini.theta_value - abs(ini.theta_amplitude),
-                      "mms": mms.theta_bar - abs(mms.theta_amplitude),
-                      }[ini.theta_kind]
-            if lowest <= 0:
-                raise ConfigError(
-                    f"[initial] theta = {ini.theta_kind} falls to {lowest:g} K;"
-                    f" the initial temperature must be positive")
-            if self.bcs.thermal == "fixed_theta" and self.bcs.fixed_value <= 0:
-                raise ConfigError("[bcs] fixed_value must be positive")
+                    f"[initial] theta = {self.initial.theta_kind} falls to "
+                    f"{theta.min():g} K at a node; the initial temperature "
+                    f"must be positive")
         return self
 
     # -- resolution to runnable setups --------------------------------------
@@ -350,6 +352,16 @@ class SimConfig:
             shaped(fs.heat_kind, fs.heat_value, fs.heat_amplitude,
                    fs.heat_rate, case.heat if case else None))
 
+    def _initial_theta(self, grid: Grid1D, case) -> np.ndarray:
+        """[initial] theta at the nodes of grid."""
+        x, ini = grid.nodes(), self.initial
+        if ini.theta_kind == "const":
+            return np.full_like(x, ini.theta_value)
+        if ini.theta_kind == "cosine":
+            return ini.theta_value + ini.theta_amplitude * np.cos(
+                ini.theta_mode * np.pi * x / grid.length)
+        return case.theta(x, 0.0)
+
     def _initial_state(self, grid: Grid1D, case) -> FieldState:
         x = grid.nodes()
         ini = self.initial
@@ -371,26 +383,18 @@ class SimConfig:
         else:
             v = case.v(x, 0.0)
 
-        if ini.theta_kind == "const":
-            theta = np.full_like(x, ini.theta_value)
-        elif ini.theta_kind == "cosine":
-            theta = ini.theta_value + ini.theta_amplitude * np.cos(
-                ini.theta_mode * np.pi * x / grid.length)
-        else:
-            theta = case.theta(x, 0.0)
-
-        theta_dot = None
+        # the run starts from the end values the boundary conditions hold
+        state = solver1d._clamp_ends(
+            FieldState(0.0, u, v, self._initial_theta(grid, case)), self.bcs)
         if self.material.tau0 > 0:
             if ini.theta_dot_kind == "zero":
-                theta_dot = np.zeros_like(x)
+                state.theta_dot = np.zeros_like(x)
             else:
                 # slave value from the tau0 = 0 energy equation at t = 0
                 p0 = self.material.with_(tau0=0.0)
-                st0 = FieldState(0.0, u, v, theta)
-                forcing = self._forcing(case)
-                deriv = solver1d.rhs(st0, grid, p0, self.bcs, forcing, 0.0)
-                theta_dot = deriv.theta
-        return FieldState(0.0, u, v, theta, theta_dot)
+                state.theta_dot = solver1d.rhs(state, grid, p0, self.bcs,
+                                               self._forcing(case), 0.0).theta
+        return state
 
     def _slab_field(self, spec: SlabFieldInit, x, length) -> np.ndarray:
         if spec.kind == "uniform":
@@ -402,8 +406,7 @@ class SimConfig:
         """Build the runnable setup (RunSetup or SlabRunSetup).
 
         A full_1d RK4 run whose dt exceeds solver1d.stable_dt of the
-        initial state (its pinned and fixed_theta end values set) is a
-        ConfigError: it could only overflow."""
+        initial state is a ConfigError: it could only overflow."""
         self.validate()
         if self.model == "slab":
             x = _grid_points(self.length, self.nx, self.ends)
@@ -422,9 +425,7 @@ class SimConfig:
         case = self._mms_case() if self.needs_mms else None
         state0 = self._initial_state(grid, case)
         if self.integrator == "rk4":
-            bound = solver1d.stable_dt(
-                solver1d._clamp_ends(state0.copy(), self.bcs), grid,
-                self.material)
+            bound = solver1d.stable_dt(state0, grid, self.material)
             if self.dt > bound:
                 raise ConfigError(
                     f"[time] dt = {self.dt:.6g} ms exceeds the RK4 stable "
@@ -522,12 +523,10 @@ def _read_config_text(text: str, overrides=()) -> SimConfig:
         except ValueError:
             raise ConfigError(f"override must look like section.key=value, "
                               f"got {item!r}") from None
-        try:
+        with _reraised(f"override {item!r}:"):
             if not cp.has_section(section):
                 cp.add_section(section)
             cp.set(section, option.strip(), value.strip())
-        except ValueError as exc:
-            raise ConfigError(f"override {item!r}: {exc}") from exc
 
     missing = [f"[{section}] {key}" for section, key in _REQUIRED
                if not cp.has_option(section, key)]
@@ -549,16 +548,12 @@ def _read_config_text(text: str, overrides=()) -> SimConfig:
     for section, key, path in schema:
         if cp.has_option(section, key):
             raw = cp.get(section, key)
-            try:
+            with _reraised(f"[{section}] {key} = {raw!r}:"):
                 updates.setdefault(section, {})[path] = _parse(path, raw)
-            except ValueError as exc:
-                raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
     config = SimConfig()
     for section, values in updates.items():
-        try:
+        with _reraised(f"[{section}]"):
             config = _with(config, values)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {exc}") from exc
     return config.validate()
 
 

@@ -150,8 +150,13 @@ def equilibrium_stress(p: MaterialParams1D, theta, eps):
     This is the density-absorbed form rho * dPsi/deps used by the solver,
     in g/(cm ms^2).
     """
-    theta = _check_theta(theta)
-    eps = np.asarray(eps, dtype=float)
+    return _equilibrium_stress(p, _check_theta(theta),
+                               np.asarray(eps, dtype=float))
+
+
+def _equilibrium_stress(p: MaterialParams1D, theta, eps):
+    """equilibrium_stress of float arrays, without its argument checks: the
+    bar solver's right-hand side calls it on every evaluation."""
     e2 = eps * eps
     return eps * (p.k1 * (theta - p.theta1) + e2 * (-p.k2 + e2 * p.k3))
 

@@ -56,12 +56,16 @@ def build_mms_case(params: MaterialParams1D, length: float = 1.0,
                    omega_t: float = 2.0) -> MmsCase:
     """Construct the manufactured case for the given material constants.
 
-    Requires the simplified regime tau0 = mu = nu = gamma = 0 (raises
-    otherwise).  The callables cache sin(kx) and cos(kx) of the last x by
-    identity (the solver passes one node vector): do not change x in place.
+    Requires the simplified regime tau0 = mu = nu = gamma = 0: a ValueError
+    names the rates that are not zero.  The callables cache sin(kx) and
+    cos(kx) of the last x by identity (the solver passes one node vector):
+    do not change x in place.
     """
-    if any(getattr(params, name) != 0 for name in ZERO_RATES):
-        raise ValueError("manufactured case covers tau0 = mu = nu = gamma = 0")
+    rates = [f"{name} = {getattr(params, name)!r}" for name in ZERO_RATES
+             if getattr(params, name) != 0]
+    if rates:
+        raise ValueError("the manufactured case covers tau0 = mu = nu = "
+                         f"gamma = 0 only, not {', '.join(rates)}")
     p, k = params, math.pi / length
     a, b, wu, wt = u_amplitude, theta_amplitude, omega_u, omega_t
 

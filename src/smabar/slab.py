@@ -81,13 +81,27 @@ def _check_theta(Th: np.ndarray):
         raise ValueError("ThetaPrime must stay finite and above -300 K")
 
 
+def _periodic(ends: str) -> bool:
+    """Whether ends are periodic; ValueError unless ends is one of ENDS."""
+    if ends not in ENDS:
+        raise ValueError(f"ends must be one of {ENDS}")
+    return ends == "periodic"
+
+
+def _check_y(Y) -> np.ndarray:
+    """Y as a float array; ValueError unless every Y is finite and in
+    [-1, 1]."""
+    Y = np.asarray(Y, dtype=float)
+    if not (np.abs(Y) <= 1.0).all():
+        raise ValueError("Y must be finite and in [-1, 1]")
+    return Y
+
+
 def _grid_points(length: float, nx: int, ends: str) -> np.ndarray:
     """x of the grid points, spaced length/nx: nx points on [0, length) for
     periodic ends, nx + 1 including both ends otherwise.  ValueError for
     unknown ends."""
-    if ends not in ENDS:
-        raise ValueError(f"ends must be one of {ENDS}")
-    return np.arange(nx if ends == "periodic" else nx + 1) * (length / nx)
+    return np.arange(nx if _periodic(ends) else nx + 1) * (length / nx)
 
 
 @dataclass(frozen=True)
@@ -198,13 +212,11 @@ class _SlabRhs:
     Also the state packing, check and diagnostics of solver1d._drive."""
 
     def __init__(self, params: SlabParams, dx: float, ends: str, n: int):
-        if ends not in ENDS:
-            raise ValueError(f"ends must be one of {ENDS}")
         self.p, self.dx = params, dx
         # two ghost nodes per end: wrapped around, or mirrored about the end
         # node and negated for U and V (odd), not for ThetaPrime (even)
         i, self.sign = np.arange(n), None
-        if ends == "periodic":
+        if _periodic(ends):
             self.idx = np.concatenate([i[-2:], i, i[:2]])
         else:
             self.idx = np.concatenate([i[2:0:-1], i, i[-2:-4:-1]])
@@ -307,10 +319,9 @@ def reconstruct_fields(state: SlabState, params: SlabParams, Y,
 
     Y may be a scalar or an array; field arrays broadcast against it with
     Y in the leading axis, and each row equals the fields at that scalar Y.
+    ValueError unless every Y is finite and in [-1, 1].
     """
-    Y = np.asarray(Y, dtype=float)
-    if np.any(np.abs(Y) > 1.0):
-        raise ValueError("|Y| must not exceed 1")
+    Y = _check_y(Y)
     p = params
     b, b2, b3 = p.b, p.b ** 2, p.b ** 3
     (U1x, U2x, V1x, _, _), (U1xx, U2xx, _, V2xx, _), _ = _SlabRhs(

@@ -49,7 +49,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .constitutive import MaterialParams1D, conductivity, internal_energy, strain_energy
+from .constitutive import (MaterialParams1D, _equilibrium_stress, conductivity,
+                           internal_energy, strain_energy)
 
 __all__ = [
     "Grid1D",
@@ -364,8 +365,7 @@ class _Rhs:
         else:
             th_t = Z[..., 3]
 
-        e2 = eps * eps
-        s = eps * (p.k1 * (th_m - p.theta1) + e2 * (-p.k2 + e2 * p.k3))
+        s = _equilibrium_stress(p, th_m, eps)
         if p.mu != 0.0:
             s = s + p.mu * deps
         if p.nu != 0.0:
@@ -693,30 +693,23 @@ class _ImplicitStepper:
     TOL = 1e-11
     THETA_REFRESH = 0.1
 
-    def _residual_fn(self, z: np.ndarray, t: float, dt: float):
-        f = self.f
+    def _stage(self, z: np.ndarray, t: float, dt: float):
+        """(resid, matrix) of the step from (z, t): the row-weighted
+        residual of zg and the _system_matrix factors, both taken at the
+        stage point of zg, which is zg at t + dt for implicit Euler and
+        0.5 (z + zg) at t + dt/2 for the midpoint rule."""
+        f, d = self.f, self._row_weights(dt)
         if self.kind == "implicit_euler":
-            te = t + dt
-
-            def resid(zg):
-                self.nfe += 1
-                return zg - z - dt * f(zg, te)
-
-            def jac_point(zg):
-                return zg, te
+            point, ts = (lambda zg: zg), t + dt
         else:
-            tm = t + 0.5 * dt
+            point, ts = (lambda zg: 0.5 * (z + zg)), t + 0.5 * dt
 
-            def resid(zg):
-                self.nfe += 1
-                return zg - z - dt * f(0.5 * (z + zg), tm)
+        def resid(zg):
+            self.nfe += 1
+            r = zg - z - dt * f(point(zg), ts)
+            return r if d is None else r * d
 
-            def jac_point(zg):
-                return 0.5 * (z + zg), tm
-        d = self._row_weights(dt)
-        if d is None:
-            return resid, jac_point
-        return (lambda zg: resid(zg) * d), jac_point
+        return resid, lambda zg: self._system_matrix(point(zg), ts, dt)
 
     def _converged(self, dn: float, dn_prev: float = np.inf) -> bool:
         """Increment-based convergence test on dn = _norm(increment): dn
@@ -742,7 +735,7 @@ class _ImplicitStepper:
         so a misbehaving Jacobian can never strand the iteration in a
         remote Newton basin (spurious roots of the implicit equations do
         exist near snap-through events)."""
-        resid, jac_point = self._residual_fn(z, t, dt)
+        resid, matrix = self._stage(z, t, dt)
         with np.errstate(over="ignore", invalid="ignore"):
             # fast path: undamped chord iteration with the cached LU factors,
             # refreshed once at the current iterate when the contraction
@@ -771,7 +764,7 @@ class _ImplicitStepper:
                     if not refreshed and dn > self.THETA_REFRESH * dn_prev:
                         refreshed = True
                         self.refreshes += 1
-                        self.lu = self._system_matrix(*jac_point(zg), dt)
+                        self.lu = matrix(zg)
                         if self.lu is None:
                             break
                     dn_prev = dn
@@ -789,8 +782,7 @@ class _ImplicitStepper:
             rn = self._norm(r)
             damped = 0
             for _ in range(15):
-                zj, tj = jac_point(zg)
-                lu = self._system_matrix(zj, tj, dt)
+                lu = matrix(zg)
                 if lu is None:
                     return None
                 dz = _band_solve(lu, self.half_bw, -r)

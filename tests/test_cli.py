@@ -626,6 +626,32 @@ class TestMain:
         err = capsys.readouterr().err
         assert "config error:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("overrides, theta0", [
+        (["initial.theta=cosine", "initial.theta_mode=0",
+          "initial.theta_value=10", "initial.theta_amplitude=50"],
+         np.full(9, 60.0)),
+        (["initial.theta=cosine", "initial.theta_value=100",
+          "initial.theta_amplitude=100", "bcs.thermal=fixed_theta",
+          "bcs.fixed_value=300", "material.tau0=0.01"],
+         np.r_[300.0, 100.0 + 100.0 * np.cos(np.pi * np.arange(1, 8) / 8),
+               300.0]),
+    ], ids=["cosine_mode_zero", "fixed_theta_ends_hold_the_dip"])
+    def test_positive_initial_temperature_runs(self, tmp_path, capsys,
+                                               overrides, theta0):
+        """Only the nodes' initial temperatures count: a mode-0 cosine is
+        60 K everywhere although theta_value - |theta_amplitude| < 0, and a
+        cosine that falls to 0 K only at fixed_theta ends starts at
+        fixed_value there (tau0 > 0 derives theta_dot from that state)."""
+        p = tmp_path / "warm.ini"
+        p.write_text(MINIMAL)
+        argv = ["run", "--config", str(p), "--out", str(tmp_path / "o")]
+        for item in overrides:
+            argv += ["--override", item]
+        assert main(argv) == 0, capsys.readouterr().err
+        theta = np.loadtxt(tmp_path / "o" / "snapshots.csv", delimiter=",",
+                           skiprows=1, max_rows=9, usecols=4)
+        np.testing.assert_allclose(theta, theta0, rtol=1e-15)
+
     def test_bad_override_exit_code(self, tmp_path, capsys):
         assert main(["run", "--preset", "conservation",
                      "--out", str(tmp_path / "o"),

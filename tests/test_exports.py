@@ -4,6 +4,7 @@ names without importing smabar.cli up front; runs load sympy never,
 scipy's LAPACK wrapper only when they integrate implicitly, and the
 scipy.linalg package never."""
 
+import importlib
 import os
 import pkgutil
 import subprocess
@@ -19,6 +20,20 @@ MODULES = [f"smabar.{m.name}" for m in pkgutil.iter_modules(smabar.__path__)]
 @pytest.mark.parametrize("module", MODULES)
 def test_star_import_resolves(module):
     exec(f"from {module} import *", {})
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "smabar.cli"])
+def test_package_exports_each_module_all(module):
+    """The package exports every name of each module's __all__ (the cli
+    names on first access): no hand-kept list can drift from them."""
+    mod = importlib.import_module(module)
+    for name in mod.__all__:
+        assert getattr(smabar, name) is getattr(mod, name), name
+
+
+def test_cli_names_are_cli_exports():
+    from smabar import cli
+    assert set(smabar._CLI_NAMES) <= set(cli.__all__)
 
 
 def test_cli_names_served_from_package():

@@ -160,6 +160,12 @@ class TestReconstruction:
         with pytest.raises(ValueError):
             reconstruct_fields(st, P, 1.5, DX)
 
+    @pytest.mark.parametrize("Y", [np.nan, [0.5, np.nan], np.inf],
+                             ids=["scalar_nan", "array_nan", "inf"])
+    def test_rejects_non_finite_Y(self, Y):
+        with pytest.raises(ValueError, match="finite and in"):
+            reconstruct_fields(uniform_state(), P, Y, DX)
+
 
 class TestValidation:
     def test_param_checks(self):

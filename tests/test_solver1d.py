@@ -92,6 +92,25 @@ class TestComputeStress:
         np.testing.assert_allclose(compute_stress(st, g, p),
                                    2.5 * 0.1, rtol=1e-12)
 
+    @pytest.mark.parametrize("tau0", [0.0, 1e-3])
+    def test_equals_equilibrium_stress_bitwise(self, tau0):
+        """With mu = nu = 0 the solver's stress is the constitutive law at
+        the midpoint strain and midpoint temperature, to the bit (dx is a
+        power of two, so dividing by it and multiplying by 1/dx agree)."""
+        rng = np.random.default_rng(7)
+        g = Grid1D(1.0, 16)
+        n = g.nx + 1
+        p = P.with_(tau0=tau0)
+        for _ in range(20):
+            st = FieldState(0.0, rng.uniform(-0.01, 0.01, n),
+                            rng.uniform(-1.0, 1.0, n),
+                            rng.uniform(150.0, 400.0, n),
+                            rng.uniform(-5.0, 5.0, n) if tau0 else None)
+            th_m = 0.5 * (st.theta[1:] + st.theta[:-1])
+            np.testing.assert_array_equal(
+                compute_stress(st, g, p),
+                equilibrium_stress(p, th_m, st.strain(g)))
+
     def test_rate_terms_with_relaxation(self):
         # s = s_eq(eps, theta) + mu eps_dot + nu <theta_dot>, with theta_dot
         # taken from the auxiliary field the tau0 > 0 state carries
