@@ -63,7 +63,7 @@ from functools import reduce
 import numpy as np
 
 from . import solver1d
-from .constitutive import MaterialParams1D, cu_based
+from .constitutive import MaterialParams1D, conductivity, cu_based
 from .manufactured import build_mms_case
 from .slab import (ENDS, SlabParams, SlabRunSetup, SlabState, _check_y,
                    _grid_points, cu_based_slab, reconstruct_fields,
@@ -312,17 +312,7 @@ class SimConfig:
                     f"Fourier conduction)")
             with _reraised("[material]"):
                 case = self._mms_case() if self.needs_mms else None
-            # the initial temperature at the nodes, as the run starts it
-            theta = self._initial_theta(grid, case)
-            if self.bcs.thermal == "fixed_theta":
-                if self.bcs.fixed_value <= 0:
-                    raise ConfigError("[bcs] fixed_value must be positive")
-                theta[[0, -1]] = self.bcs.fixed_value
-            if not (theta > 0).all():
-                raise ConfigError(
-                    f"[initial] theta = {self.initial.theta_kind} falls to "
-                    f"{theta.min():g} K at a node; the initial temperature "
-                    f"must be positive")
+            self._initial_state(grid, case)
         return self
 
     # -- resolution to runnable setups --------------------------------------
@@ -352,17 +342,9 @@ class SimConfig:
             shaped(fs.heat_kind, fs.heat_value, fs.heat_amplitude,
                    fs.heat_rate, case.heat if case else None))
 
-    def _initial_theta(self, grid: Grid1D, case) -> np.ndarray:
-        """[initial] theta at the nodes of grid."""
-        x, ini = grid.nodes(), self.initial
-        if ini.theta_kind == "const":
-            return np.full_like(x, ini.theta_value)
-        if ini.theta_kind == "cosine":
-            return ini.theta_value + ini.theta_amplitude * np.cos(
-                ini.theta_mode * np.pi * x / grid.length)
-        return case.theta(x, 0.0)
-
     def _initial_state(self, grid: Grid1D, case) -> FieldState:
+        """The state at t = 0 on grid with the end values the boundary
+        conditions hold; ConfigError where theta or k is not positive."""
         x = grid.nodes()
         ini = self.initial
         if ini.u_kind == "zero":
@@ -383,17 +365,26 @@ class SimConfig:
         else:
             v = case.v(x, 0.0)
 
-        # the run starts from the end values the boundary conditions hold
-        state = solver1d._clamp_ends(
-            FieldState(0.0, u, v, self._initial_theta(grid, case)), self.bcs)
-        if self.material.tau0 > 0:
-            if ini.theta_dot_kind == "zero":
-                state.theta_dot = np.zeros_like(x)
-            else:
-                # slave value from the tau0 = 0 energy equation at t = 0
-                p0 = self.material.with_(tau0=0.0)
-                state.theta_dot = solver1d.rhs(state, grid, p0, self.bcs,
-                                               self._forcing(case), 0.0).theta
+        if ini.theta_kind == "const":
+            theta = np.full_like(x, ini.theta_value)
+        elif ini.theta_kind == "cosine":
+            theta = ini.theta_value + ini.theta_amplitude * np.cos(
+                ini.theta_mode * np.pi * x / grid.length)
+        else:
+            theta = case.theta(x, 0.0)
+
+        state = solver1d._clamp_ends(FieldState(0.0, u, v, theta), self.bcs)
+        if not (state.theta > 0).all():
+            raise ConfigError(
+                f"[initial] theta = {ini.theta_kind} falls to "
+                f"{state.theta.min():g} K at a node; the initial temperature "
+                f"must be positive")
+        k = conductivity(self.material, state.theta)
+        if not (k > 0).all():
+            raise ConfigError(
+                f"[material] conductivity k0 (1 + beta_tilde theta) falls to "
+                f"{k.min():g} at a node of the initial state; it must be "
+                f"positive")
         return state
 
     def _slab_field(self, spec: SlabFieldInit, x, length) -> np.ndarray:
@@ -418,20 +409,35 @@ class SimConfig:
                 self._slab_field(si.v1, x, self.length),
                 self._slab_field(si.v2, x, self.length),
                 self._slab_field(si.theta_prime, x, self.length))
+            with _reraised("[slab_initial]"):
+                state0.validate()
             return SlabRunSetup(self.slab_material, self.length, self.nx,
                                 state0, self.dt, self.t_end,
                                 self.output_interval, self.ends)
         grid = Grid1D(self.length, self.nx)
         case = self._mms_case() if self.needs_mms else None
         state0 = self._initial_state(grid, case)
+        forcing = self._forcing(case)
+        if self.material.tau0 > 0:
+            if self.initial.theta_dot_kind == "zero":
+                state0.theta_dot = np.zeros_like(state0.theta)
+            else:
+                # slave value from the tau0 = 0 energy equation at t = 0
+                p0 = self.material.with_(tau0=0.0)
+                try:
+                    state0.theta_dot = solver1d.rhs(
+                        state0, grid, p0, self.bcs, forcing, 0.0).theta
+                except IntegrationError as exc:
+                    raise ConfigError(f"[initial] theta_dot = consistent: "
+                                      f"{exc.reason}") from exc
         if self.integrator == "rk4":
             bound = solver1d.stable_dt(state0, grid, self.material)
             if self.dt > bound:
                 raise ConfigError(
                     f"[time] dt = {self.dt:.6g} ms exceeds the RK4 stable "
                     f"step {bound:.6g} ms of the initial state")
-        return RunSetup(grid, self.material, self.bcs, self._forcing(case),
-                        state0, self.dt, self.t_end, self.output_interval,
+        return RunSetup(grid, self.material, self.bcs, forcing, state0,
+                        self.dt, self.t_end, self.output_interval,
                         self.integrator, -1.0 if self.gamma_negate else 1.0)
 
 

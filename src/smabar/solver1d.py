@@ -144,6 +144,8 @@ class BoundarySpec:
             raise ValueError(f"thermal must be one of {THERMAL_KINDS}")
         if self.beta < 0:
             raise ValueError("beta must be non-negative")
+        if self.thermal == "fixed_theta" and self.fixed_value <= 0:
+            raise ValueError("fixed_value must be positive")
 
     def ambient(self, t: float) -> float:
         if callable(self.theta_ambient):
@@ -295,10 +297,13 @@ class _Rhs:
         return FieldState(t, Z[:, 0].copy(), Z[:, 1].copy(), Z[:, 2].copy(), w)
 
     def check(self, z: np.ndarray):
-        """ValueError when a temperature of the packed state z is not
-        positive; reads a view of z."""
+        """ValueError when a temperature of the packed state z, or its
+        C_v - nu <eps_dot> (_cv_n), is not positive; reads views of z."""
         if (z[2::self.nf] <= 0).any():
             raise ValueError("non-positive temperature")
+        if self.p.nu != 0.0:
+            v = z[1::self.nf]
+            self._cv_n((v[1:] - v[:-1]) * self.dxi)
 
     def diag(self, state: FieldState) -> tuple:
         """Diagnostics row (t, total energy, max |eps|, theta_min,
@@ -329,6 +334,18 @@ class _Rhs:
             th_pad[..., -1] -= self._robin * (end - self.bcs.ambient(t)) / k_end
         return th_pad
 
+    def _cv_n(self, deps: np.ndarray):
+        """(<eps_dot>, C_v - nu <eps_dot>) at the nodes ((None, C_v) when
+        nu = 0) from the midpoint strain rates deps; ValueError where the
+        second, the heat equation's theta_t coefficient, is not positive."""
+        if self.p.nu == 0.0:
+            return None, self.p.cv
+        deps_n = _node_average(deps)
+        cv_n = self.p.cv - self.p.nu * deps_n
+        if (cv_n <= 0).any():
+            raise ValueError("degenerate nu coupling (C_v - nu eps_dot <= 0)")
+        return deps_n, cv_n
+
     def _stress_and_rates(self, Z: np.ndarray, t: float):
         """Midpoint and node terms of the state Z = z.reshape(..., nn, nf)."""
         p, dxi = self.p, self.dxi
@@ -347,19 +364,16 @@ class _Rhs:
         coupling = _node_average(th_m * eps * deps)
         g_heat = self._forcing(t)[0]
         dd_n = _node_average(deps * deps) if p.mu != 0.0 else None
-        deps_n = _node_average(deps) if p.nu != 0.0 else None
+        try:
+            deps_n, cv_n = self._cv_n(deps)
+        except ValueError as exc:
+            raise IntegrationError(t, str(exc)) from None
 
         if self.nf == 3:
             heat_src = cond + p.k1 * coupling + g_heat
             if p.mu != 0.0:
                 heat_src = heat_src + p.mu * dd_n
-            if p.nu != 0.0:
-                denom = p.cv - p.nu * deps_n
-                if (denom <= 0).any():
-                    raise IntegrationError(t, "degenerate nu coupling (C_v - nu eps_dot <= 0)")
-            else:
-                denom = p.cv
-            th_t = heat_src / denom
+            th_t = heat_src / cv_n
             if self._fixed_theta:
                 th_t[..., 0] = th_t[..., -1] = 0.0
         else:
@@ -370,12 +384,13 @@ class _Rhs:
             s = s + p.mu * deps
         if p.nu != 0.0:
             s = s + p.nu * 0.5 * (th_t[..., 1:] + th_t[..., :-1])
-        return eps, deps, deps_n, dd_n, th_m, cond, coupling, g_heat, th_t, s
+        return (eps, deps, deps_n, cv_n, dd_n, th_m, cond, coupling, g_heat,
+                th_t, s)
 
     def __call__(self, z: np.ndarray, t: float) -> np.ndarray:
         p, dxi = self.p, self.dxi
         Z = z.reshape(z.shape[:-1] + (self.nn, self.nf))
-        (eps, deps, deps_n, dd_n, th_m, cond, coupling,
+        (eps, deps, deps_n, cv_n, dd_n, th_m, cond, coupling,
          g_heat, th_t, s) = self._stress_and_rates(Z, t)
         _, body_in, body_0, body_1 = self._forcing(t)
 
@@ -411,13 +426,8 @@ class _Rhs:
         if p.nu != 0.0:
             edd_n = _node_average(edd)
             numer = numer + p.nu * w * (deps_n + p.tau0 * edd_n)
-            denom = p.tau0 * (p.cv - p.nu * deps_n)
-            if (denom <= 0).any():
-                raise IntegrationError(t, "degenerate nu coupling (C_v - nu eps_dot <= 0)")
-        else:
-            denom = p.tau0 * p.cv
         w_t = dZ[..., 3]
-        np.divide(numer, denom, out=w_t)
+        np.divide(numer, p.tau0 * cv_n, out=w_t)
         if self._fixed_theta:
             w_t[..., 0] = w_t[..., -1] = 0.0
         return dZ.reshape(z.shape)

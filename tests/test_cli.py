@@ -665,9 +665,17 @@ class TestMain:
         ("conservation", "time.output_interval=5e-324", "1000000 snapshots"),
         ("experiment2", "material.tau0=1e-101", "tau0 = 1e-101"),
         ("experiment2", "material.tau0=5e-324", "at least 1e-100 ms"),
+        ("conservation", "material.beta_tilde=-0.004",
+         "[material] conductivity k0 (1 + beta_tilde theta) falls to 0 at a "
+         "node of the initial state"),
+        ("experiment2", "material.beta_tilde=-0.004",
+         "conductivity k0 (1 + beta_tilde theta) falls to -0.00038"),
+        ("slab", "slab_initial.theta_prime_value=-400",
+         "[slab_initial] ThetaPrime must stay finite and above -300 K"),
     ], ids=["mms_mu", "mms_gamma", "bar_snapshots", "slab_snapshots",
             "snapshot_ratio_overflow",
-            "tau0_below_floor", "tau0_subnormal"])
+            "tau0_below_floor", "tau0_subnormal", "conductivity_zero",
+            "conductivity_negative", "slab_theta_prime"])
     def test_outside_validity_is_config_error(self, tmp_path, capsys, run,
                                               override, message):
         source = _source(run, str(tmp_path))
@@ -677,6 +685,39 @@ class TestMain:
         err = capsys.readouterr().err
         assert "config error:" in err and message in err
         assert "Traceback" not in err and not out.exists()
+
+    def test_underivable_theta_dot_is_config_error(self, tmp_path, capsys):
+        """tau0 > 0 derives theta_dot from the heat equation at t = 0, which
+        a start with C_v - nu <eps_dot> <= 0 somewhere does not define."""
+        out = tmp_path / "o"
+        assert main(["run", "--preset", "experiment2", "--out", str(out),
+                     "--override", "initial.v=sine",
+                     "--override", "initial.v_amplitude=5",
+                     "--override", "material.nu=50",
+                     "--override", "material.tau0=0.01"]) == 1
+        err = capsys.readouterr().err
+        assert ("config error: [initial] theta_dot = consistent: degenerate "
+                "nu coupling (C_v - nu eps_dot <= 0)") in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_nu_degenerate_step_aborts_with_partial_artifacts(self, tmp_path,
+                                                              capsys):
+        """A step that ends where C_v - nu <eps_dot> <= 0 is an integration
+        abort: every stored snapshot is one the stress law evaluates."""
+        out = tmp_path / "o"
+        assert main(["run", "--preset", "experiment2", "--out", str(out),
+                     "--override", "integrator.kind=implicit_midpoint",
+                     "--override", "material.nu=3",
+                     "--override", "time.output_interval=0.0008"]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert summary[-1] == ("FAILED integration aborted at t=0.2272 ms: "
+                               "degenerate nu coupling (C_v - nu eps_dot <= 0)")
+        rows = np.loadtxt(out / "snapshots.csv", delimiter=",", skiprows=1)
+        v = rows[:, 3].reshape(-1, 17)
+        p = preset("experiment2").material
+        cv_n = p.cv - 3.0 * solver1d._node_average(np.diff(v) * 16.0)
+        assert len(v) == 284 and (cv_n > 0).all()
 
     def test_snapshot_ceiling_is_inclusive(self):
         cfg = replace(preset("conservation"), t_end=1.0)
@@ -769,6 +810,8 @@ class TestExitCodeContract:
     @given(one_override())
     @example(("mms", "material.nu=-1"))
     @example(("slab", "time.output_interval=1e-30"))
+    @example(("conservation", "material.beta_tilde=-0.004"))
+    @example(("slab", "slab_initial.theta_prime_value=-400"))
     def test_main_returns_an_exit_code(self, case):
         run, override = case
         with tempfile.TemporaryDirectory() as tmp:

@@ -731,6 +731,22 @@ class TestBatchedRhs:
         with pytest.raises(IntegrationError):
             f(zs, 0.0)
 
+    @pytest.mark.parametrize("tau0", [0.0, 1e-3])
+    def test_check_rejects_a_nu_degenerate_state(self, tau0):
+        """check applies the right-hand side's C_v - nu <eps_dot> > 0 test
+        to a stored state, with the same message."""
+        nx = 8
+        p = P.with_(nu=3.0, tau0=tau0)
+        f = _Rhs(Grid1D(1.0, nx), p, BoundarySpec(), Forcing.none())
+        z = _random_stack(3, p, nx, 1)[0]
+        f.check(z)
+        z.reshape(nx + 1, -1)[:, 1] = 20.0 * Grid1D(1.0, nx).nodes()
+        with pytest.raises(IntegrationError) as err:
+            f(z, 0.0)
+        with pytest.raises(ValueError) as rejected:
+            f.check(z)
+        assert str(rejected.value) == err.value.reason
+
 
 def _vec(lo, hi, n):
     return st.lists(st.floats(lo, hi), min_size=n, max_size=n).map(np.array)
@@ -916,6 +932,12 @@ class TestBoundaryConditions:
             assert s.theta[0] == 250.0 and s.theta[-1] == 250.0
         # interior diffuses toward the held value
         assert traj.snapshots[-1].theta[6] < st.theta[6] + 1e-12
+
+    @pytest.mark.parametrize("value", [0.0, -250.0])
+    def test_fixed_theta_needs_a_positive_fixed_value(self, value):
+        with pytest.raises(ValueError, match="fixed_value must be positive"):
+            BoundarySpec("pinned", "fixed_theta", fixed_value=value)
+        BoundarySpec("pinned", "insulated", fixed_value=value)
 
     def test_mixed_mech(self):
         g = Grid1D(1.0, 16)
