@@ -271,6 +271,15 @@ class SimConfig:
                          self.initial.theta_kind)
 
     def validate(self):
+        """ConfigError where the config is outside its model's validity;
+        returns self."""
+        self._checked()
+        return self
+
+    def _checked(self):
+        """The checks of validate.  A full_1d config returns the grid, mms
+        case (None without mms kinds) and initial state that resolve runs
+        from; a slab config returns None."""
         for section, key, path in _schema(self.model):
             allowed = _KINDS[self.model].get(path)
             if allowed and _lookup(self, path) not in allowed:
@@ -304,16 +313,15 @@ class SimConfig:
                     f"{min_dx:.6g} cm")
             with _reraised("[output] reconstruct_y:"):
                 _check_y(self.reconstruct_y)
-        else:
-            if 0 < self.material.tau0 < _TAU0_FLOOR:
-                raise ConfigError(
-                    f"[material] tau0 = {self.material.tau0!r}: a positive "
-                    f"tau0 must be at least {_TAU0_FLOOR:g} ms (0 gives "
-                    f"Fourier conduction)")
-            with _reraised("[material]"):
-                case = self._mms_case() if self.needs_mms else None
-            self._initial_state(grid, case)
-        return self
+            return None
+        if 0 < self.material.tau0 < _TAU0_FLOOR:
+            raise ConfigError(
+                f"[material] tau0 = {self.material.tau0!r}: a positive "
+                f"tau0 must be at least {_TAU0_FLOOR:g} ms (0 gives "
+                f"Fourier conduction)")
+        with _reraised("[material]"):
+            case = self._mms_case() if self.needs_mms else None
+        return grid, case, self._initial_state(grid, case)
 
     # -- resolution to runnable setups --------------------------------------
 
@@ -397,8 +405,10 @@ class SimConfig:
         """Build the runnable setup (RunSetup or SlabRunSetup).
 
         A full_1d RK4 run whose dt exceeds solver1d.stable_dt of the
-        initial state is a ConfigError: it could only overflow."""
-        self.validate()
+        initial state is a ConfigError: it could only overflow.  So is an
+        initial state where C_v - nu <eps_dot> is not positive: the tau0 = 0
+        heat equation does not give theta_t there."""
+        checked = self._checked()
         if self.model == "slab":
             x = _grid_points(self.length, self.nx, self.ends)
             si = self.slab_initial
@@ -410,26 +420,26 @@ class SimConfig:
                 self._slab_field(si.v2, x, self.length),
                 self._slab_field(si.theta_prime, x, self.length))
             with _reraised("[slab_initial]"):
-                state0.validate()
-            return SlabRunSetup(self.slab_material, self.length, self.nx,
-                                state0, self.dt, self.t_end,
-                                self.output_interval, self.ends)
-        grid = Grid1D(self.length, self.nx)
-        case = self._mms_case() if self.needs_mms else None
-        state0 = self._initial_state(grid, case)
+                return SlabRunSetup(self.slab_material, self.length, self.nx,
+                                    state0, self.dt, self.t_end,
+                                    self.output_interval, self.ends)
+        grid, case, state0 = checked
         forcing = self._forcing(case)
+        consistent = (self.material.tau0 > 0
+                      and self.initial.theta_dot_kind == "consistent")
+        if self.material.nu != 0.0 or consistent:
+            # the tau0 = 0 energy equation at t = 0 gives theta_t only where
+            # C_v - nu <eps_dot> > 0; its theta_t is the consistent theta_dot
+            try:
+                theta_t = solver1d.rhs(state0, grid,
+                                       self.material.with_(tau0=0.0),
+                                       self.bcs, forcing, 0.0).theta
+            except IntegrationError as exc:
+                raise ConfigError(
+                    f"[initial] the initial state has {exc.reason}") from exc
         if self.material.tau0 > 0:
-            if self.initial.theta_dot_kind == "zero":
-                state0.theta_dot = np.zeros_like(state0.theta)
-            else:
-                # slave value from the tau0 = 0 energy equation at t = 0
-                p0 = self.material.with_(tau0=0.0)
-                try:
-                    state0.theta_dot = solver1d.rhs(
-                        state0, grid, p0, self.bcs, forcing, 0.0).theta
-                except IntegrationError as exc:
-                    raise ConfigError(f"[initial] theta_dot = consistent: "
-                                      f"{exc.reason}") from exc
+            state0.theta_dot = (theta_t if consistent
+                                else np.zeros_like(state0.theta))
         if self.integrator == "rk4":
             bound = solver1d.stable_dt(state0, grid, self.material)
             if self.dt > bound:

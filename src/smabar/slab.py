@@ -366,6 +366,7 @@ class SlabRunSetup:
     def __post_init__(self):
         _check_positive(self)
         Grid1D(self.length, self.nx)        # checks length and nx
+        self.state0.validate()
         want = _grid_points(self.length, self.nx, self.ends).size
         if self.state0.U1.size != want:
             raise ValueError(f"state arrays must have {want} points for "
@@ -386,5 +387,4 @@ def slab_simulate(setup: SlabRunSetup) -> Trajectory:
     solver1d.IntegrationError with the partial trajectory as `partial`.
     """
     rhs = _SlabRhs(setup.params, setup.dx, setup.ends, setup.state0.U1.size)
-    return _drive(setup, setup.state0.copy().validate(), rhs,
-                  _stepper(rhs, "rk4"))
+    return _drive(setup, setup.state0.copy(), rhs, _stepper(rhs, "rk4"))

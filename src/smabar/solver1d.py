@@ -334,16 +334,19 @@ class _Rhs:
             th_pad[..., -1] -= self._robin * (end - self.bcs.ambient(t)) / k_end
         return th_pad
 
-    def _cv_n(self, deps: np.ndarray):
+    def _cv_n(self, deps: np.ndarray, t: float | None = None):
         """(<eps_dot>, C_v - nu <eps_dot>) at the nodes ((None, C_v) when
-        nu = 0) from the midpoint strain rates deps; ValueError where the
-        second, the heat equation's theta_t coefficient, is not positive."""
+        nu = 0) from the midpoint strain rates deps.  Where the second, the
+        heat equation's theta_t coefficient, is not positive: an
+        IntegrationError(t), or for t = None (check) a ValueError."""
         if self.p.nu == 0.0:
             return None, self.p.cv
         deps_n = _node_average(deps)
         cv_n = self.p.cv - self.p.nu * deps_n
         if (cv_n <= 0).any():
-            raise ValueError("degenerate nu coupling (C_v - nu eps_dot <= 0)")
+            reason = "degenerate nu coupling (C_v - nu eps_dot <= 0)"
+            raise (ValueError(reason) if t is None
+                   else IntegrationError(t, reason))
         return deps_n, cv_n
 
     def _stress_and_rates(self, Z: np.ndarray, t: float):
@@ -364,12 +367,9 @@ class _Rhs:
         coupling = _node_average(th_m * eps * deps)
         g_heat = self._forcing(t)[0]
         dd_n = _node_average(deps * deps) if p.mu != 0.0 else None
-        try:
-            deps_n, cv_n = self._cv_n(deps)
-        except ValueError as exc:
-            raise IntegrationError(t, str(exc)) from None
 
         if self.nf == 3:
+            cv_n = self._cv_n(deps, t)[1]
             heat_src = cond + p.k1 * coupling + g_heat
             if p.mu != 0.0:
                 heat_src = heat_src + p.mu * dd_n
@@ -384,13 +384,12 @@ class _Rhs:
             s = s + p.mu * deps
         if p.nu != 0.0:
             s = s + p.nu * 0.5 * (th_t[..., 1:] + th_t[..., :-1])
-        return (eps, deps, deps_n, cv_n, dd_n, th_m, cond, coupling, g_heat,
-                th_t, s)
+        return eps, deps, dd_n, th_m, cond, coupling, g_heat, th_t, s
 
     def __call__(self, z: np.ndarray, t: float) -> np.ndarray:
         p, dxi = self.p, self.dxi
         Z = z.reshape(z.shape[:-1] + (self.nn, self.nf))
-        (eps, deps, deps_n, cv_n, dd_n, th_m, cond, coupling,
+        (eps, deps, dd_n, th_m, cond, coupling,
          g_heat, th_t, s) = self._stress_and_rates(Z, t)
         _, body_in, body_0, body_1 = self._forcing(t)
 
@@ -415,6 +414,7 @@ class _Rhs:
 
         # tau0 > 0: (theta, theta_dot) pair with pointwise elimination of
         # the rates; strain acceleration comes from the momentum RHS.
+        deps_n, cv_n = self._cv_n(deps, t)
         w = Z[..., 3]
         edd = (accel[..., 1:] - accel[..., :-1]) * dxi
         w_m = 0.5 * (w[..., 1:] + w[..., :-1])

@@ -686,17 +686,22 @@ class TestMain:
         assert "config error:" in err and message in err
         assert "Traceback" not in err and not out.exists()
 
-    def test_underivable_theta_dot_is_config_error(self, tmp_path, capsys):
-        """tau0 > 0 derives theta_dot from the heat equation at t = 0, which
-        a start with C_v - nu <eps_dot> <= 0 somewhere does not define."""
+    @pytest.mark.parametrize("rate", [
+        (), ("material.tau0=0.01",),
+        ("material.tau0=0.01", "initial.theta_dot=zero"),
+    ], ids=["tau0_zero", "theta_dot_consistent", "theta_dot_zero"])
+    def test_nu_degenerate_start_is_config_error(self, tmp_path, capsys,
+                                                 rate):
+        """The heat equation at t = 0 gives theta_t (the stress's nu term,
+        the consistent theta_dot) only where C_v - nu <eps_dot> > 0; a start
+        that fails this is refused, whatever tau0 and theta_dot are."""
         out = tmp_path / "o"
-        assert main(["run", "--preset", "experiment2", "--out", str(out),
-                     "--override", "initial.v=sine",
-                     "--override", "initial.v_amplitude=5",
-                     "--override", "material.nu=50",
-                     "--override", "material.tau0=0.01"]) == 1
+        overrides = ("initial.v=sine", "initial.v_amplitude=5",
+                     "material.nu=50") + rate
+        assert main(["run", "--preset", "experiment2", "--out", str(out)]
+                    + [a for o in overrides for a in ("--override", o)]) == 1
         err = capsys.readouterr().err
-        assert ("config error: [initial] theta_dot = consistent: degenerate "
+        assert ("config error: [initial] the initial state has degenerate "
                 "nu coupling (C_v - nu eps_dot <= 0)") in err
         assert "Traceback" not in err and not out.exists()
 

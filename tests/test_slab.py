@@ -187,6 +187,8 @@ class TestValidation:
         st.Th[5] = bad
         with pytest.raises(ValueError, match="finite and above -300 K"):
             st.validate()
+        with pytest.raises(ValueError, match="finite and above -300 K"):
+            SlabRunSetup(P, L, NX, st, 1e-4, 1e-3, 1e-3)
 
     def test_setup_array_length_matches_ends(self):
         with pytest.raises(ValueError):

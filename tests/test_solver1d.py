@@ -747,6 +747,22 @@ class TestBatchedRhs:
             f.check(z)
         assert str(rejected.value) == err.value.reason
 
+    def test_stored_theta_dot_stress_needs_no_nu_test(self):
+        """With tau0 > 0 the stress reads the stored theta_dot, so it is
+        defined on a state whose C_v - nu <eps_dot> is not positive; with
+        tau0 = 0 it needs the heat equation's theta_t and aborts."""
+        nx = 8
+        g = Grid1D(1.0, nx)
+        p = P.with_(nu=3.0, tau0=1e-3)
+        f = _Rhs(g, p, BoundarySpec(), Forcing.none())
+        z = _random_stack(3, p, nx, 1)[0]
+        z.reshape(nx + 1, -1)[:, 1] = 20.0 * g.nodes()
+        state = f.unpack(z, 0.0)
+        assert np.isfinite(compute_stress(state, g, p)).all()
+        state.theta_dot = None
+        with pytest.raises(IntegrationError, match="degenerate nu coupling"):
+            compute_stress(state, g, p.with_(tau0=0.0))
+
 
 def _vec(lo, hi, n):
     return st.lists(st.floats(lo, hi), min_size=n, max_size=n).map(np.array)
