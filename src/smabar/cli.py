@@ -5,8 +5,11 @@ is in the cgs-ms-K unit system used throughout the package.  The per-model
 key table `_SCHEMA`, derived from the fields of the config dataclasses, is
 the single source of section and key names: reading, writing, defaults,
 required keys and the unknown-key and unknown-section errors all follow
-from it, and `_KINDS` beside it lists the accepted values of every kind
-key.  Example (thermal cycling of a pinned bar):
+from it.  The builder tables own the kinds: `_FORCING`, `_INITIAL` and
+`_SLAB_FIELD` map each accepted value of a forcing or initial-field kind
+key to what it builds, and `_KINDS` lists every kind key's accepted values,
+those of the tables as the tables' keys.  Example (thermal cycling of a
+pinned bar):
 
     [model]
     kind = full_1d
@@ -187,27 +190,68 @@ _SCHEMA = {
     + [("output", "reconstruct_y", ("reconstruct_y",))],
 }
 
-_REQUIRED = (("model", "kind"), ("grid", "length"), ("grid", "nx"),
-             ("time", "dt"), ("time", "t_end"), ("time", "output_interval"))
+_REQUIRED = [row[:2] for row in _COMMON if row[0] != "integrator"]
 
-_FORCING_KINDS = ("none", "const", "sin_cubed", "mms")
+# What each value of a kind key builds.  A table's keys are the values its
+# kind key accepts, in the order the messages list them.
+
+# F(x, t) or G(x, t) from (value, amplitude, rate, mms callable).  The
+# x-independent kinds return a scalar; the solver adds it to every node with
+# the same bits as an array of that value.
+_FORCING = {
+    "none": lambda value, amplitude, rate, mms: lambda x, t: 0.0,
+    "const": lambda value, amplitude, rate, mms: lambda x, t: value,
+    "sin_cubed": lambda value, amplitude, rate, mms:
+        lambda x, t: amplitude * math.sin(rate * t) ** 3,
+    "mms": lambda value, amplitude, rate, mms: mms,
+}
+
+# The bar's node values at t = 0 from (InitialSpec, x, length, mms case),
+# by InitialSpec kind attribute
+_INITIAL = {
+    "u_kind": {
+        "zero": lambda ini, x, length, case: np.zeros_like(x),
+        "piecewise_linear": lambda ini, x, length, case: np.interp(
+            x, *zip(*ini.u_breakpoints)),
+        "sine": lambda ini, x, length, case: ini.u_amplitude * np.sin(
+            ini.u_mode * np.pi * x / length),
+        "mms": lambda ini, x, length, case: case.u(x, 0.0),
+    },
+    "v_kind": {
+        "zero": lambda ini, x, length, case: np.zeros_like(x),
+        "sine": lambda ini, x, length, case: ini.v_amplitude * np.sin(
+            ini.v_mode * np.pi * x / length),
+        "mms": lambda ini, x, length, case: case.v(x, 0.0),
+    },
+    "theta_kind": {
+        "const": lambda ini, x, length, case: np.full_like(x, ini.theta_value),
+        "cosine": lambda ini, x, length, case: ini.theta_value + (
+            ini.theta_amplitude * np.cos(ini.theta_mode * np.pi * x / length)),
+        "mms": lambda ini, x, length, case: case.theta(x, 0.0),
+    },
+}
+
+# A slab field's node values at t = 0 from (SlabFieldInit, x, length)
+_SLAB_FIELD = {
+    "uniform": lambda spec, x, length: np.full_like(x, spec.value),
+    "sine": lambda spec, x, length: spec.value + spec.amplitude * np.sin(
+        2.0 * np.pi * spec.mode * x / length),
+}
 
 # Accepted values of every kind key, by model and attribute path.  The
 # [bcs] mech and thermal kinds are checked by BoundarySpec itself.
 _KINDS = {
     "full_1d": {
         ("integrator",): solver1d.INTEGRATORS,
-        ("forcing", "body_kind"): _FORCING_KINDS,
-        ("forcing", "heat_kind"): _FORCING_KINDS,
-        ("initial", "u_kind"): ("zero", "piecewise_linear", "sine", "mms"),
-        ("initial", "v_kind"): ("zero", "sine", "mms"),
-        ("initial", "theta_kind"): ("const", "cosine", "mms"),
+        ("forcing", "body_kind"): tuple(_FORCING),
+        ("forcing", "heat_kind"): tuple(_FORCING),
+        **{("initial", key): tuple(table) for key, table in _INITIAL.items()},
         ("initial", "theta_dot_kind"): ("consistent", "zero"),
     },
     "slab": {
         ("integrator",): ("rk4",),
         ("ends",): ENDS,
-        **{("slab_initial", f.name, "kind"): ("uniform", "sine")
+        **{("slab_initial", f.name, "kind"): tuple(_SLAB_FIELD)
            for f in fields(SlabInitialSpec)},
     },
 }
@@ -266,9 +310,7 @@ class SimConfig:
     @property
     def needs_mms(self) -> bool:
         """True when any forcing or initial field is the manufactured one."""
-        return "mms" in (self.forcing.body_kind, self.forcing.heat_kind,
-                         self.initial.u_kind, self.initial.v_kind,
-                         self.initial.theta_kind)
+        return any(_lookup(self, path) == "mms" for path in _KINDS["full_1d"])
 
     def validate(self):
         """ConfigError where the config is outside its model's validity;
@@ -298,10 +340,15 @@ class SimConfig:
         if self.austenite_band <= 0 or self.martensite_band < self.austenite_band:
             raise ConfigError("[phases] bands must satisfy 0 < austenite_band "
                               "<= martensite_band")
-        if (self.initial.u_kind == "piecewise_linear"
-                and len(self.initial.u_breakpoints) < 2):
-            raise ConfigError("[initial] u_breakpoints needs at least "
-                              "two x:value pairs")
+        if self.initial.u_kind == "piecewise_linear":
+            xs = [x for x, _ in self.initial.u_breakpoints]
+            if len(xs) < 2:
+                raise ConfigError("[initial] u_breakpoints needs at least "
+                                  "two x:value pairs")
+            # np.interp reads breakpoints out of order without complaint
+            if not all(a < b for a, b in zip(xs, xs[1:])):
+                raise ConfigError(f"[initial] u_breakpoints x must strictly "
+                                  f"increase, got {', '.join(map(str, xs))}")
         if self.model == "slab":
             if self.needs_mms:
                 raise ConfigError("mms forcing applies to the full_1d model only")
@@ -332,55 +379,20 @@ class SimConfig:
                               self.mms.omega_t)
 
     def _forcing(self, case) -> Forcing:
-        def shaped(kind, value, amplitude, rate, mms_fn):
-            # x-independent kinds return a scalar; the solver adds it to
-            # every node with the same bits as an array of that value
-            if kind == "none":
-                return lambda x, t: 0.0
-            if kind == "const":
-                return lambda x, t: value
-            if kind == "sin_cubed":
-                return lambda x, t: amplitude * math.sin(rate * t) ** 3
-            return mms_fn
-
         fs = self.forcing
         return Forcing(
-            shaped(fs.body_kind, fs.body_value, fs.body_amplitude,
-                   fs.body_rate, case.body if case else None),
-            shaped(fs.heat_kind, fs.heat_value, fs.heat_amplitude,
-                   fs.heat_rate, case.heat if case else None))
+            _FORCING[fs.body_kind](fs.body_value, fs.body_amplitude,
+                                   fs.body_rate, getattr(case, "body", None)),
+            _FORCING[fs.heat_kind](fs.heat_value, fs.heat_amplitude,
+                                   fs.heat_rate, getattr(case, "heat", None)))
 
     def _initial_state(self, grid: Grid1D, case) -> FieldState:
         """The state at t = 0 on grid with the end values the boundary
         conditions hold; ConfigError where theta or k is not positive."""
         x = grid.nodes()
         ini = self.initial
-        if ini.u_kind == "zero":
-            u = np.zeros_like(x)
-        elif ini.u_kind == "piecewise_linear":
-            xp = [p[0] for p in ini.u_breakpoints]
-            up = [p[1] for p in ini.u_breakpoints]
-            u = np.interp(x, xp, up)
-        elif ini.u_kind == "sine":
-            u = ini.u_amplitude * np.sin(ini.u_mode * np.pi * x / grid.length)
-        else:
-            u = case.u(x, 0.0)
-
-        if ini.v_kind == "zero":
-            v = np.zeros_like(x)
-        elif ini.v_kind == "sine":
-            v = ini.v_amplitude * np.sin(ini.v_mode * np.pi * x / grid.length)
-        else:
-            v = case.v(x, 0.0)
-
-        if ini.theta_kind == "const":
-            theta = np.full_like(x, ini.theta_value)
-        elif ini.theta_kind == "cosine":
-            theta = ini.theta_value + ini.theta_amplitude * np.cos(
-                ini.theta_mode * np.pi * x / grid.length)
-        else:
-            theta = case.theta(x, 0.0)
-
+        u, v, theta = (table[getattr(ini, key)](ini, x, grid.length, case)
+                       for key, table in _INITIAL.items())
         state = solver1d._clamp_ends(FieldState(0.0, u, v, theta), self.bcs)
         if not (state.theta > 0).all():
             raise ConfigError(
@@ -395,12 +407,6 @@ class SimConfig:
                 f"positive")
         return state
 
-    def _slab_field(self, spec: SlabFieldInit, x, length) -> np.ndarray:
-        if spec.kind == "uniform":
-            return np.full_like(x, spec.value)
-        return spec.value + spec.amplitude * np.sin(
-            2.0 * np.pi * spec.mode * x / length)
-
     def resolve(self):
         """Build the runnable setup (RunSetup or SlabRunSetup).
 
@@ -411,14 +417,9 @@ class SimConfig:
         checked = self._checked()
         if self.model == "slab":
             x = _grid_points(self.length, self.nx, self.ends)
-            si = self.slab_initial
-            state0 = SlabState(
-                0.0,
-                self._slab_field(si.u1, x, self.length),
-                self._slab_field(si.u2, x, self.length),
-                self._slab_field(si.v1, x, self.length),
-                self._slab_field(si.v2, x, self.length),
-                self._slab_field(si.theta_prime, x, self.length))
+            # the five field specs, in the order of SlabState's fields
+            state0 = SlabState(0.0, *(_SLAB_FIELD[s.kind](s, x, self.length)
+                                      for s in vars(self.slab_initial).values()))
             with _reraised("[slab_initial]"):
                 return SlabRunSetup(self.slab_material, self.length, self.nx,
                                     state0, self.dt, self.t_end,
@@ -763,13 +764,18 @@ def run(config: SimConfig, out_dir: str) -> int:
 
     Returns the process exit code: 0 on success, 2 on integration abort
     of either model (partial artifacts are written, summary carries a
-    FAILED marker).
+    FAILED marker).  An out_dir that cannot be created or written is a
+    ConfigError.
     """
     setup = config.resolve()
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config_resolved.txt"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        fh.write(write_config(config))
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(os.path.join(out_dir, "config_resolved.txt"), "w",
+                  encoding="utf-8", newline="\n") as fh:
+            fh.write(write_config(config))
+    except OSError as exc:
+        raise ConfigError(f"cannot write artifacts to {out_dir!r}: "
+                          f"{exc}") from exc
     slab_model = config.model == "slab"
     code = 0
     try:

@@ -385,6 +385,13 @@ def slab_simulate(setup: SlabRunSetup) -> Trajectory:
     snapshots including t = 0, each passing SlabState.validate; any
     failure, an RK4 stage state that check rejects included, raises
     solver1d.IntegrationError with the partial trajectory as `partial`.
+    Pinned-insulated runs start from setup.state0 with U and V set to zero
+    at both ends.
     """
-    rhs = _SlabRhs(setup.params, setup.dx, setup.ends, setup.state0.U1.size)
-    return _drive(setup, setup.state0.copy(), rhs, _stepper(rhs, "rk4"))
+    state = setup.state0.copy()
+    if not _periodic(setup.ends):
+        # pinned ends: U and V are zero there, as the odd ghost nodes assume
+        for a in (state.U1, state.U2, state.V1, state.V2):
+            a[[0, -1]] = 0.0
+    rhs = _SlabRhs(setup.params, setup.dx, setup.ends, state.U1.size)
+    return _drive(setup, state, rhs, _stepper(rhs, "rk4"))

@@ -4,6 +4,7 @@ import math
 import os
 import tempfile
 from dataclasses import fields, replace
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -11,8 +12,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from smabar import solver1d
 from smabar.cli import (
+    _FORCING,
+    _INITIAL,
     _KINDS,
     _SCHEMA,
+    _SLAB_FIELD,
     ConfigError,
     ForcingSpec,
     InitialSpec,
@@ -288,8 +292,10 @@ FULL_1D = st.builds(
     # initial temperatures stay positive (theta_value > |theta_amplitude|,
     # and likewise for the mms theta)
     initial=dataclass_of(InitialSpec, "full_1d", ("initial",),
-                         u_breakpoints=st.lists(st.tuples(NUM, NUM), min_size=2,
-                                                max_size=5).map(tuple),
+                         # x strictly increasing, as validate demands
+                         u_breakpoints=st.lists(
+                             st.tuples(NUM, NUM), min_size=2, max_size=5,
+                             unique_by=lambda p: p[0]).map(sorted).map(tuple),
                          theta_value=st.floats(1e3, 1e12),
                          theta_amplitude=st.floats(-999.0, 999.0)),
     mms=dataclass_of(MmsSpec, "full_1d", ("mms",),
@@ -323,6 +329,84 @@ class TestConfigRoundTrip:
         text = write_config(cfg.validate())
         assert _read_config_text(text) == cfg
         assert write_config(_read_config_text(text)) == text
+
+
+# every (attribute path, kind) that a builder table owns
+TABLE_KINDS = (
+    [("full_1d", ("forcing", key), kind) for key in ("body_kind", "heat_kind")
+     for kind in _FORCING]
+    + [("full_1d", ("initial", key), kind)
+       for key, table in _INITIAL.items() for kind in table]
+    + [("slab", ("slab_initial", f.name, "kind"), kind)
+       for f in fields(SlabInitialSpec) for kind in _SLAB_FIELD])
+
+# non-zero values for the parameters of the table kinds
+TABLE_VALUES = {
+    "full_1d": ["integrator.kind=implicit_euler", "forcing.body_value=500",
+                "forcing.body_amplitude=700", "forcing.body_rate=1.5",
+                "forcing.heat_value=20", "forcing.heat_amplitude=30",
+                "forcing.heat_rate=0.5",
+                "initial.u_breakpoints=0:0, 0.4:0.01, 1:0",
+                "initial.u_amplitude=0.01", "initial.u_mode=3",
+                "initial.v_amplitude=0.1", "initial.v_mode=2",
+                "initial.theta_amplitude=5", "initial.theta_mode=2"],
+    "slab": [f"slab_initial.{f.name}_{name}={value}"
+             for f in fields(SlabInitialSpec)
+             for name, value in (("value", 0.5), ("amplitude", 1e-5),
+                                 ("mode", 2))],
+}
+
+
+class TestKindTables:
+    def test_accepted_values(self):
+        slab_fields = ("u1", "u2", "v1", "v2", "theta_prime")
+        assert _KINDS == {
+            "full_1d": {
+                ("integrator",): ("rk4", "implicit_euler",
+                                  "implicit_midpoint"),
+                ("forcing", "body_kind"): ("none", "const", "sin_cubed",
+                                           "mms"),
+                ("forcing", "heat_kind"): ("none", "const", "sin_cubed",
+                                           "mms"),
+                ("initial", "u_kind"): ("zero", "piecewise_linear", "sine",
+                                        "mms"),
+                ("initial", "v_kind"): ("zero", "sine", "mms"),
+                ("initial", "theta_kind"): ("const", "cosine", "mms"),
+                ("initial", "theta_dot_kind"): ("consistent", "zero"),
+            },
+            "slab": {
+                ("integrator",): ("rk4",),
+                ("ends",): ("periodic", "pinned_insulated"),
+                **{("slab_initial", name, "kind"): ("uniform", "sine")
+                   for name in slab_fields},
+            },
+        }
+
+    @pytest.mark.parametrize("model, path, kind", TABLE_KINDS,
+                             ids=[f"{p[-2] if p[-1] == 'kind' else p[-1]}="
+                                  f"{k}" for _, p, k in TABLE_KINDS])
+    def test_every_kind_resolves_to_finite_node_values(self, model, path,
+                                                       kind):
+        section, key = next((section, key) for section, key, p
+                            in _SCHEMA[model] if p == path)
+        overrides = [f"{section}.{key}={kind}", *TABLE_VALUES[model]]
+        if kind == "mms":
+            overrides += [f"material.{name}=0" for name in ZERO_RATES]
+        cfg = _read_config_text(MODELS[model], overrides)
+        assert reduce(getattr, path, cfg) == kind
+        setup = cfg.resolve()
+        if model == "slab":
+            values = setup.state0.fields()
+            n = setup.nx + 1
+        else:
+            x = setup.grid.nodes()
+            state, forcing = setup.state0, setup.forcing
+            values = np.stack(
+                [state.u, state.v, state.theta]
+                + [np.broadcast_to(fn(x, 0.37), x.shape)
+                   for fn in (forcing.body, forcing.heat)])
+            n = x.size
+        assert values.shape[1:] == (n,) and np.isfinite(values).all()
 
 
 class TestClassification:
@@ -657,6 +741,19 @@ class TestMain:
                      "--out", str(tmp_path / "o"),
                      "--override", "nonsense"]) == 1
 
+    @pytest.mark.parametrize("under", [False, True],
+                             ids=["existing_file", "below_a_file"])
+    def test_unusable_out_is_config_error(self, tmp_path, capsys, under):
+        path = tmp_path / "file"
+        path.write_text("")
+        out = str(path / "o" if under else path)
+        assert main(["run", "--preset", "mms", "--out", out,
+                     "--override", "time.t_end=0.001"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write artifacts to "
+                              f"{out!r}: ")
+        assert "Traceback" not in err and path.read_text() == ""
+
     @pytest.mark.parametrize("run, override, message", [
         ("mms", "material.mu=0.1", "tau0 = mu = nu = gamma = 0"),
         ("mms", "material.gamma=1e-30", "gamma = 1e-30"),
@@ -672,10 +769,16 @@ class TestMain:
          "conductivity k0 (1 + beta_tilde theta) falls to -0.00038"),
         ("slab", "slab_initial.theta_prime_value=-400",
          "[slab_initial] ThetaPrime must stay finite and above -300 K"),
+        ("conservation", "initial.u_breakpoints=1:0, 0.5:0.005, 0:0",
+         "[initial] u_breakpoints x must strictly increase, got 1.0, 0.5, "
+         "0.0"),
+        ("conservation", "initial.u_breakpoints=0:0, 0.5:0.005, 0.5:0, 1:0",
+         "[initial] u_breakpoints x must strictly increase"),
     ], ids=["mms_mu", "mms_gamma", "bar_snapshots", "slab_snapshots",
             "snapshot_ratio_overflow",
             "tau0_below_floor", "tau0_subnormal", "conductivity_zero",
-            "conductivity_negative", "slab_theta_prime"])
+            "conductivity_negative", "slab_theta_prime",
+            "breakpoints_descending", "breakpoints_repeated"])
     def test_outside_validity_is_config_error(self, tmp_path, capsys, run,
                                               override, message):
         source = _source(run, str(tmp_path))
@@ -811,18 +914,28 @@ def one_override(draw):
 
 
 class TestExitCodeContract:
+    # generated cases write into a fresh directory; out_is_file=True makes
+    # --out an existing file
     @settings(max_examples=100, deadline=None)
-    @given(one_override())
-    @example(("mms", "material.nu=-1"))
-    @example(("slab", "time.output_interval=1e-30"))
-    @example(("conservation", "material.beta_tilde=-0.004"))
-    @example(("slab", "slab_initial.theta_prime_value=-400"))
-    def test_main_returns_an_exit_code(self, case):
+    @given(case=one_override(), out_is_file=st.just(False))
+    @example(case=("mms", "material.nu=-1"), out_is_file=False)
+    @example(case=("slab", "time.output_interval=1e-30"), out_is_file=False)
+    @example(case=("conservation", "material.beta_tilde=-0.004"),
+             out_is_file=False)
+    @example(case=("slab", "slab_initial.theta_prime_value=-400"),
+             out_is_file=False)
+    @example(case=("conservation",
+                   "initial.u_breakpoints=1:0, 0.5:0.005, 0:0"),
+             out_is_file=False)
+    @example(case=("mms", "time.output_interval=0.0005"), out_is_file=True)
+    def test_main_returns_an_exit_code(self, case, out_is_file):
         run, override = case
         with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "o")
+            if out_is_file:
+                open(out, "w", encoding="utf-8").close()
             with np.errstate(all="ignore"):
-                code = main(["run", *_source(run, tmp),
-                             "--out", os.path.join(tmp, "o"),
+                code = main(["run", *_source(run, tmp), "--out", out,
                              "--override", SHORT_RUNS[run],
                              "--override", override])
         assert code in (0, 1, 2)

@@ -201,6 +201,21 @@ class TestValidation:
         traj = slab_simulate(setup)
         assert len(traj.snapshots) == int(np.floor(0.0103 / 0.002)) + 1
 
+    def test_pinned_ends_hold_u_and_v_at_zero(self):
+        """A pinned-insulated run zeroes U and V at both ends of its start
+        (the odd ghost nodes assume it) and holds them there.  Without that,
+        the end U1 of a uniform 0.001 cm start drifts and the run aborts."""
+        st = uniform_state(u1=1e-3, u2=0.0, th=0.0, n=41)
+        setup = SlabRunSetup(P, 4.0, 40, st, 1e-4, 0.05, 0.002,
+                             "pinned_insulated")
+        traj = slab_simulate(setup)
+        assert len(traj.snapshots) == 26
+        assert (st.U1 == 1e-3).all()         # the setup's start is kept
+        for snap in traj.snapshots:
+            for name in ("U1", "U2", "V1", "V2"):
+                assert np.abs(getattr(snap, name)[[0, -1]]).max() <= 1e-15
+        assert np.abs(traj.snapshots[-1].U1[1:-1]).max() > 1e-4
+
 
 # ---------------------------------------------------------------------------
 # the fused right-hand side against the per-field reference it replaced:
