@@ -321,7 +321,7 @@ class SimConfig:
     def _checked(self):
         """The checks of validate.  A full_1d config returns the grid, mms
         case (None without mms kinds) and initial state that resolve runs
-        from; a slab config returns None."""
+        from; a slab config returns its SlabRunSetup."""
         for section, key, path in _schema(self.model):
             allowed = _KINDS[self.model].get(path)
             if allowed and _lookup(self, path) not in allowed:
@@ -330,6 +330,7 @@ class SimConfig:
                     f"{self.model} model accepts {', '.join(allowed)}")
         with _reraised("[time]"):
             solver1d._check_positive(self)
+            solver1d._step_count(self.t_end, self.dt)
         if (solver1d._snapshot_count(self.t_end, self.output_interval)
                 > _MAX_SNAPSHOTS):
             raise ConfigError(
@@ -360,7 +361,14 @@ class SimConfig:
                     f"{min_dx:.6g} cm")
             with _reraised("[output] reconstruct_y:"):
                 _check_y(self.reconstruct_y)
-            return None
+            x = _grid_points(self.length, self.nx, self.ends)
+            # the five field specs, in the order of SlabState's fields
+            state0 = SlabState(0.0, *(_SLAB_FIELD[s.kind](s, x, self.length)
+                                      for s in vars(self.slab_initial).values()))
+            with _reraised("[slab_initial]"):
+                return SlabRunSetup(self.slab_material, self.length, self.nx,
+                                    state0, self.dt, self.t_end,
+                                    self.output_interval, self.ends)
         if 0 < self.material.tau0 < _TAU0_FLOOR:
             raise ConfigError(
                 f"[material] tau0 = {self.material.tau0!r}: a positive "
@@ -416,14 +424,7 @@ class SimConfig:
         heat equation does not give theta_t there."""
         checked = self._checked()
         if self.model == "slab":
-            x = _grid_points(self.length, self.nx, self.ends)
-            # the five field specs, in the order of SlabState's fields
-            state0 = SlabState(0.0, *(_SLAB_FIELD[s.kind](s, x, self.length)
-                                      for s in vars(self.slab_initial).values()))
-            with _reraised("[slab_initial]"):
-                return SlabRunSetup(self.slab_material, self.length, self.nx,
-                                    state0, self.dt, self.t_end,
-                                    self.output_interval, self.ends)
+            return checked
         grid, case, state0 = checked
         forcing = self._forcing(case)
         consistent = (self.material.tau0 > 0

@@ -57,9 +57,7 @@ def build_mms_case(params: MaterialParams1D, length: float = 1.0,
     """Construct the manufactured case for the given material constants.
 
     Requires the simplified regime tau0 = mu = nu = gamma = 0: a ValueError
-    names the rates that are not zero.  The callables cache sin(kx) and
-    cos(kx) of the last x by identity (the solver passes one node vector):
-    do not change x in place.
+    names the rates that are not zero.
     """
     rates = [f"{name} = {getattr(params, name)!r}" for name in ZERO_RATES
              if getattr(params, name) != 0]
@@ -69,13 +67,9 @@ def build_mms_case(params: MaterialParams1D, length: float = 1.0,
     p, k = params, math.pi / length
     a, b, wu, wt = u_amplitude, theta_amplitude, omega_u, omega_t
 
-    last = [None, None]    # the x last seen and its read-only [sin, cos]
     def modes(x):
-        if x is not last[0]:
-            kx = k * np.asarray(x, dtype=float)
-            last[:] = x, np.stack([np.sin(kx), np.cos(kx)])
-            last[1].flags.writeable = False
-        return last[1]
+        kx = k * np.asarray(x, dtype=float)
+        return np.sin(kx), np.cos(kx)
 
     def body(x, t):
         s, c = modes(x)

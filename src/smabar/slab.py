@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solver1d import (Grid1D, IntegrationError, Trajectory, _check_positive,
-                       _drive, _stepper)
+                       _drive, _step_count, _stepper)
 
 __all__ = [
     "SlabParams",
@@ -153,6 +153,8 @@ class SlabParams:
             raise ValueError("rho and cv must be positive")
         if self.c_wave <= 0 or self.c_disp < 0:
             raise ValueError("c_wave must be positive and c_disp non-negative")
+        if self.kappa < 0 or self.c_bend < 0:
+            raise ValueError("kappa and c_bend must be non-negative")
 
     @property
     def wave_speed(self) -> float:
@@ -238,8 +240,13 @@ class _SlabRhs:
     def unpack(self, z: np.ndarray, t: float) -> SlabState:
         return SlabState(t, *z.copy())
 
-    def check(self, z: np.ndarray):
-        _check_theta(z[4])
+    def check(self, z: np.ndarray, t: float):
+        """IntegrationError(t) for a ThetaPrime of z that SlabState.validate
+        rejects."""
+        try:
+            _check_theta(z[4])
+        except ValueError as exc:
+            raise IntegrationError(t, str(exc)) from None
 
     def diag(self, state: SlabState) -> tuple:
         """Diagnostics row (t, max |U1x|, max |U2x|, ThetaPrime min and
@@ -250,11 +257,8 @@ class _SlabRhs:
                 float(state.Th.max()))
 
     def __call__(self, z: np.ndarray, t: float) -> np.ndarray:
+        self.check(z, t)
         p, Th = self.p, z[4]
-        try:
-            _check_theta(Th)
-        except ValueError as exc:
-            raise IntegrationError(t, str(exc)) from None
         b2, b4 = p.b * p.b, p.b ** 4
         d1, d2, zp = self.differences(z)
         d4 = (zp[:2, 4:] - 4.0 * zp[:2, 3:-1] + 6.0 * zp[:2, 2:-2]
@@ -365,6 +369,7 @@ class SlabRunSetup:
 
     def __post_init__(self):
         _check_positive(self)
+        _step_count(self.t_end, self.dt)
         Grid1D(self.length, self.nx)        # checks length and nx
         self.state0.validate()
         want = _grid_points(self.length, self.nx, self.ends).size

@@ -296,14 +296,14 @@ class _Rhs:
         w = Z[:, 3].copy() if self.nf == 4 else None
         return FieldState(t, Z[:, 0].copy(), Z[:, 1].copy(), Z[:, 2].copy(), w)
 
-    def check(self, z: np.ndarray):
-        """ValueError when a temperature of the packed state z, or its
-        C_v - nu <eps_dot> (_cv_n), is not positive; reads views of z."""
+    def check(self, z: np.ndarray, t: float):
+        """IntegrationError(t) when a temperature of the packed state z, or
+        its C_v - nu <eps_dot> (_cv_n), is not positive; reads views of z."""
         if (z[2::self.nf] <= 0).any():
-            raise ValueError("non-positive temperature")
+            raise IntegrationError(t, "non-positive temperature")
         if self.p.nu != 0.0:
             v = z[1::self.nf]
-            self._cv_n((v[1:] - v[:-1]) * self.dxi)
+            self._cv_n((v[1:] - v[:-1]) * self.dxi, t)
 
     def diag(self, state: FieldState) -> tuple:
         """Diagnostics row (t, total energy, max |eps|, theta_min,
@@ -334,19 +334,18 @@ class _Rhs:
             th_pad[..., -1] -= self._robin * (end - self.bcs.ambient(t)) / k_end
         return th_pad
 
-    def _cv_n(self, deps: np.ndarray, t: float | None = None):
+    def _cv_n(self, deps: np.ndarray, t: float):
         """(<eps_dot>, C_v - nu <eps_dot>) at the nodes ((None, C_v) when
-        nu = 0) from the midpoint strain rates deps.  Where the second, the
-        heat equation's theta_t coefficient, is not positive: an
-        IntegrationError(t), or for t = None (check) a ValueError."""
+        nu = 0) from the midpoint strain rates deps; IntegrationError(t)
+        where the second, the heat equation's theta_t coefficient, is not
+        positive."""
         if self.p.nu == 0.0:
             return None, self.p.cv
         deps_n = _node_average(deps)
         cv_n = self.p.cv - self.p.nu * deps_n
         if (cv_n <= 0).any():
-            reason = "degenerate nu coupling (C_v - nu eps_dot <= 0)"
-            raise (ValueError(reason) if t is None
-                   else IntegrationError(t, reason))
+            raise IntegrationError(
+                t, "degenerate nu coupling (C_v - nu eps_dot <= 0)")
         return deps_n, cv_n
 
     def _stress_and_rates(self, Z: np.ndarray, t: float):
@@ -862,13 +861,10 @@ def _stepper(f, integrator: str):
 
 def _accept(z: np.ndarray, t: float, check):
     """IntegrationError(t) when the state z a step ended in at time t has
-    values that are not finite or that check(z) rejects (ValueError)."""
+    values that are not finite or that check(z, t) rejects."""
     if not np.isfinite(z).all():
         raise IntegrationError(t, "non-finite values (stability violation)")
-    try:
-        check(z)
-    except ValueError as exc:
-        raise IntegrationError(t, str(exc)) from exc
+    check(z, t)
 
 
 def step(state: FieldState, dt: float, grid: Grid1D, params: MaterialParams1D,
@@ -876,19 +872,25 @@ def step(state: FieldState, dt: float, grid: Grid1D, params: MaterialParams1D,
          gamma_sign: float = 1.0) -> FieldState:
     """Advance one time step with the selected integrator.
 
-    Deterministic; raises IntegrationError (carrying the failure time) on
-    non-finite values or non-positive temperature in the result.
+    Deterministic; dt and integrator follow RunSetup's rules (ValueError),
+    and the result is checked as every step of simulate is:
+    IntegrationError (carrying the failure time) on non-finite values or
+    a state the right-hand side rejects.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if integrator not in INTEGRATORS:
-        raise ValueError(f"integrator must be one of {INTEGRATORS}")
-    state = _clamp_ends(state.copy(), bcs)
-    state.validate(grid, params)
-    f = _Rhs(grid, params, bcs, forcing, gamma_sign)
+    f, state = _start(RunSetup(grid, params, bcs, forcing, state, dt, dt, dt,
+                               integrator, gamma_sign))
     z1 = _stepper(f, integrator)(f.pack(state), state.t, dt)
     _accept(z1, state.t + dt, f.check)
     return f.unpack(z1, state.t + dt)
+
+
+def _step_count(t_end: float, dt: float) -> int:
+    """ceil(t_end/dt), the number of steps _drive takes; the 1e-9 absorbs
+    round-off in a ratio meant to be whole.  Both times are positive; a
+    ratio that overflows is a ValueError."""
+    if t_end / dt == np.inf:
+        raise ValueError("t_end/dt must be a finite step count")
+    return int(np.ceil(t_end / dt - 1e-9))
 
 
 def _snapshot_count(t_end: float, output_interval: float) -> int:
@@ -905,14 +907,15 @@ def _drive(setup, state, f, advance) -> Trajectory:
     setup.
 
     The model's right-hand side f supplies pack(state) -> z, unpack(z, t)
-    that builds a state with its own copy of z's values, check(z) that
-    raises ValueError on a state the model rejects, and diag(state), the
-    diagnostics row; advance(z, t, dt) takes one step.  Every step's z is
-    checked; a state is built only when it is stored.  The state at t = 0
-    is stored, then for each multiple of output_interval the state at the
-    first step time reaching it (repeated when output_interval < dt).  A
-    non-finite or rejected step is not stored: IntegrationError at its end
-    time, with the trajectory (failed, failure set) attached as `partial`.
+    that builds a state with its own copy of z's values, check(z, t) that
+    raises IntegrationError(t) on a state the model rejects, and
+    diag(state), the diagnostics row; advance(z, t, dt) takes one step.
+    Every step's z is checked; a state is built only when it is stored.
+    The state at t = 0 is stored, then for each multiple of
+    output_interval the state at the first step time reaching it (repeated
+    when output_interval < dt).  A non-finite or rejected step is not
+    stored: IntegrationError at its end time, with the trajectory (failed,
+    failure set) attached as `partial`.
     """
     traj = Trajectory(setup)
     n_snap = _snapshot_count(setup.t_end, setup.output_interval)
@@ -923,10 +926,9 @@ def _drive(setup, state, f, advance) -> Trajectory:
     next_snap = 1
 
     z = f.pack(state)
-    n_steps = int(np.ceil(setup.t_end / setup.dt - 1e-9))
     t = 0.0
     try:
-        for n in range(n_steps):
+        for n in range(_step_count(setup.t_end, setup.dt)):
             dt = min(setup.dt, setup.t_end - t)
             z = advance(z, t, dt)
             t = (n + 1) * setup.dt if dt == setup.dt else setup.t_end
@@ -961,6 +963,7 @@ class RunSetup:
 
     def __post_init__(self):
         _check_positive(self)
+        _step_count(self.t_end, self.dt)
         if self.integrator not in INTEGRATORS:
             raise ValueError(f"integrator must be one of {INTEGRATORS}")
         if self.integrator != "rk4":
@@ -991,8 +994,14 @@ def simulate(setup: RunSetup) -> Trajectory:
     the partial trajectory is attached to the raised IntegrationError as
     its `partial` attribute.
     """
+    f, state = _start(setup)
+    return _drive(setup, state, f, _stepper(f, setup.integrator))
+
+
+def _start(setup: RunSetup):
+    """(_Rhs, state at the start) of setup: a copy of state0 with the end
+    values the boundary conditions hold, validated."""
     state = _clamp_ends(setup.state0.copy(), setup.bcs)
     state.validate(setup.grid, setup.params)
-    f = _Rhs(setup.grid, setup.params, setup.bcs, setup.forcing,
-             setup.gamma_sign)
-    return _drive(setup, state, f, _stepper(f, setup.integrator))
+    return (_Rhs(setup.grid, setup.params, setup.bcs, setup.forcing,
+                 setup.gamma_sign), state)

@@ -210,6 +210,19 @@ class TestConfigIO:
         with pytest.raises(ConfigError):
             _read_config_text(SLAB.replace(old, new))
 
+    def test_slab_start_below_the_floor_rejected(self):
+        """load_config and validate refuse a ThetaPrime start that resolve
+        could not run from, with resolve's message."""
+        message = (r"\[slab_initial\] ThetaPrime must stay finite and above "
+                   r"-300 K")
+        cfg = _read_config_text(SLAB)
+        with pytest.raises(ConfigError, match=message):
+            _read_config_text(SLAB, ["slab_initial.theta_prime_value=-400"])
+        start = replace(cfg.slab_initial, theta_prime=SlabFieldInit(
+            "sine", -100.0, 250.0, 1))
+        with pytest.raises(ConfigError, match=message):
+            replace(cfg, slab_initial=start).validate()
+
     @pytest.mark.parametrize("model, override", [
         ("full_1d", "time.dt=nan"),
         ("full_1d", "grid.length=inf"),
@@ -308,11 +321,17 @@ FULL_1D = st.builds(
 @st.composite
 def slab_configs(draw):
     params = draw(dataclass_of(SlabParams, "slab", ("slab_material",),
-                               positive=["b", "rho", "cv", "c_wave", "c_disp"]))
+                               positive=["b", "rho", "cv", "kappa", "c_wave",
+                                         "c_disp", "c_bend"]))
     nx = draw(st.integers(4, 512))
     fields_init = {f.name: dataclass_of(SlabFieldInit, "slab",
                                         ("slab_initial", f.name))
                    for f in fields(SlabInitialSpec)}
+    # ThetaPrime stays above -300 K (value > |amplitude|), as validate
+    # demands of the start
+    fields_init["theta_prime"] = dataclass_of(
+        SlabFieldInit, "slab", ("slab_initial", "theta_prime"),
+        value=st.floats(1e3, 1e12), amplitude=st.floats(-999.0, 999.0))
     return draw(st.builds(
         SimConfig, **{**common_fields("slab"), "nx": st.just(nx)},
         slab_material=st.just(params),
@@ -774,11 +793,21 @@ class TestMain:
          "0.0"),
         ("conservation", "initial.u_breakpoints=0:0, 0.5:0.005, 0.5:0, 1:0",
          "[initial] u_breakpoints x must strictly increase"),
+        ("conservation", "time.dt=5e-324",
+         "[time] t_end/dt must be a finite step count"),
+        ("slab", "time.dt=1e-310",
+         "[time] t_end/dt must be a finite step count"),
+        ("slab", "slab.kappa=-0.019",
+         "[slab] kappa and c_bend must be non-negative"),
+        ("slab", "slab.c_bend=-991000",
+         "[slab] kappa and c_bend must be non-negative"),
     ], ids=["mms_mu", "mms_gamma", "bar_snapshots", "slab_snapshots",
             "snapshot_ratio_overflow",
             "tau0_below_floor", "tau0_subnormal", "conductivity_zero",
             "conductivity_negative", "slab_theta_prime",
-            "breakpoints_descending", "breakpoints_repeated"])
+            "breakpoints_descending", "breakpoints_repeated",
+            "bar_step_count_overflow", "slab_step_count_overflow",
+            "slab_kappa_negative", "slab_c_bend_negative"])
     def test_outside_validity_is_config_error(self, tmp_path, capsys, run,
                                               override, message):
         source = _source(run, str(tmp_path))
@@ -787,6 +816,20 @@ class TestMain:
                      "--override", override]) == 1
         err = capsys.readouterr().err
         assert "config error:" in err and message in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_step_count_overflow_of_a_long_run_is_config_error(self,
+                                                                tmp_path,
+                                                                capsys):
+        """A t_end/dt that overflows is refused with the snapshot count
+        itself in range."""
+        out = tmp_path / "o"
+        assert main(["run", "--preset", "experiment2", "--out", str(out),
+                     "--override", "time.t_end=1e308",
+                     "--override", "time.output_interval=1e307"]) == 1
+        err = capsys.readouterr().err
+        assert ("config error: [time] t_end/dt must be a finite step count"
+                in err)
         assert "Traceback" not in err and not out.exists()
 
     @pytest.mark.parametrize("rate", [
@@ -928,6 +971,11 @@ class TestExitCodeContract:
                    "initial.u_breakpoints=1:0, 0.5:0.005, 0:0"),
              out_is_file=False)
     @example(case=("mms", "time.output_interval=0.0005"), out_is_file=True)
+    @example(case=("conservation", "time.dt=5e-324"), out_is_file=False)
+    @example(case=("experiment2", "time.dt=5e-324"), out_is_file=False)
+    @example(case=("slab", "time.dt=5e-324"), out_is_file=False)
+    @example(case=("slab", "slab.kappa=-0.019"), out_is_file=False)
+    @example(case=("slab", "slab.c_bend=-991000"), out_is_file=False)
     def test_main_returns_an_exit_code(self, case, out_is_file):
         run, override = case
         with tempfile.TemporaryDirectory() as tmp:

@@ -161,7 +161,8 @@ print(np.isfinite(out.u).all(), out.t == 1e-3, before,
 
 
 def test_one_shot_implicit_step_without_a_run_setup():
-    """The public step() loads LAPACK itself on its first factorisation,
-    without importing scipy.linalg."""
+    """The public step() loads LAPACK when it is set up, as an implicit run
+    does (step builds a one-step RunSetup), without importing
+    scipy.linalg."""
     out = _python(_ONE_SHOT_STEP)
     assert out[-5:] == ["True", "True", "0", "1", "False"], out

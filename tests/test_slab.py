@@ -174,6 +174,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             SlabParams(rho=0.0)
 
+    @pytest.mark.parametrize("name, value", [("kappa", -0.019),
+                                             ("c_bend", -991000.0)])
+    def test_negative_kappa_and_c_bend_rejected(self, name, value):
+        """A negative kappa makes the heat equation backward and a negative
+        c_bend makes bending ill-posed; zero is allowed for both, like
+        c_disp."""
+        SlabParams(**{name: 0.0})
+        with pytest.raises(ValueError, match="kappa and c_bend must be "
+                                             "non-negative"):
+            SlabParams(**{name: value})
+
     def test_state_length_check(self):
         st = uniform_state()
         st.U2 = st.U2[:-1]

@@ -1,6 +1,7 @@
 """Staggered-grid solver checks: stencil exactness, conservation, BC
 fidelity, integrator consistency and failure handling."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -259,8 +260,18 @@ class TestStep:
         st = make_state(g)
         with pytest.raises(ValueError):
             step(st, -1.0, g, P, BoundarySpec(), Forcing.none())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="integrator must be one of"):
             step(st, 1e-3, g, P, BoundarySpec(), Forcing.none(), "verlet")
+
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -1.0])
+    def test_dt_follows_the_run_setup_rules(self, dt):
+        """A dt that is not positive and finite is refused before the step,
+        as RunSetup refuses it, whatever the forcing would make of it."""
+        g = Grid1D(1.0, 8)
+        f = Forcing(lambda x, t: 700.0 * math.sin(1.5 * t) ** 3,
+                    lambda x, t: 30.0 * math.sin(0.5 * t) ** 3)
+        with pytest.raises(ValueError, match="dt must be"):
+            step(make_state(g), dt, g, P, BoundarySpec(), f)
 
 
 JACOBIAN_CASES = [(mech, thermal, {}) for mech in MECH_KINDS
@@ -734,18 +745,19 @@ class TestBatchedRhs:
     @pytest.mark.parametrize("tau0", [0.0, 1e-3])
     def test_check_rejects_a_nu_degenerate_state(self, tau0):
         """check applies the right-hand side's C_v - nu <eps_dot> > 0 test
-        to a stored state, with the same message."""
+        to a stored state, with the same reason, at the time it is given."""
         nx = 8
         p = P.with_(nu=3.0, tau0=tau0)
         f = _Rhs(Grid1D(1.0, nx), p, BoundarySpec(), Forcing.none())
         z = _random_stack(3, p, nx, 1)[0]
-        f.check(z)
+        f.check(z, 0.0)
         z.reshape(nx + 1, -1)[:, 1] = 20.0 * Grid1D(1.0, nx).nodes()
         with pytest.raises(IntegrationError) as err:
             f(z, 0.0)
-        with pytest.raises(ValueError) as rejected:
-            f.check(z)
-        assert str(rejected.value) == err.value.reason
+        with pytest.raises(IntegrationError) as rejected:
+            f.check(z, 0.25)
+        assert rejected.value.reason == err.value.reason
+        assert rejected.value.time == 0.25
 
     def test_stored_theta_dot_stress_needs_no_nu_test(self):
         """With tau0 > 0 the stress reads the stored theta_dot, so it is
