@@ -49,18 +49,23 @@ threshold.  Run configs (`cli`) with a finer grid are rejected when read.
 End conditions: periodic (default, used by the dispersion tests) or
 pinned-insulated (U_i = V_i = 0 and dTh/dx = 0 at the ends, applied through
 odd/even ghost extensions), a leading approximation for physical runs.
-The README's "Numerical notes" describe how `_SlabRhs` pads the fields
-and checks every RK4 stage state.
+`_SlabRhs` gathers the five stencil nodes of every point, ghost nodes
+included, in one take and folds the stencil weights and the coefficients
+into small matrices, built once per run, so that an evaluation is three
+matrix products and a short tail, linear in the number of points; the
+README's "Numerical notes" describe them and the check of every RK4 stage
+state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .solver1d import (Grid1D, IntegrationError, Trajectory, _check_positive,
-                       _drive, _step_count, _stepper)
+                       _drive, _snapshot_count, _step_count, _stepper)
 
 __all__ = [
     "SlabParams",
@@ -76,8 +81,9 @@ ENDS = ("periodic", "pinned_insulated")
 
 
 def _check_theta(Th: np.ndarray):
-    """ValueError unless every ThetaPrime is finite and above -300 K."""
-    if not ((Th > -300.0) & (Th < np.inf)).all():
+    """ValueError unless every ThetaPrime is finite and above -300 K (a NaN
+    fails both comparisons, as it propagates through min and max)."""
+    if Th.size and not (-300.0 < Th.min() and Th.max() < np.inf):
         raise ValueError("ThetaPrime must stay finite and above -300 K")
 
 
@@ -204,35 +210,101 @@ class SlabState:
 
 
 # ---------------------------------------------------------------------------
-# the right-hand side, with the end treatment resolved once
+# the right-hand side, with the end treatment and coefficients resolved once
+
+
+# weights of the centred first, second and undivided fourth differences
+# over the nodes at offsets -2..2; row k is divided by (2 dx, dx^2, 1)
+_STENCILS = np.array([[0.0, -1.0, 0.0, 1.0, 0.0],
+                      [0.0, 1.0, -2.0, 1.0, 0.0],
+                      [1.0, -4.0, 6.0, -4.0, 1.0]])
+
+
+class _Differences:
+    """d1, d2 and dx^4 d4 of rows of n values on the slab grid, with the
+    end treatment resolved once: each point's five nodes gathered in one
+    take, the ghost nodes among them wrapped around (periodic) or mirrored
+    about the end node, then one product with the stencil weights.  O(n)
+    in memory and work.  ValueError for fewer points than a SlabRunSetup
+    has (4 periodic, 5 pinned_insulated)."""
+
+    def __init__(self, dx: float, ends: str, n: int):
+        periodic = _periodic(ends)
+        least = 4 if periodic else 5        # Grid1D's nx >= 4
+        if n < least:
+            raise ValueError(f"{ends} ends need at least {least} grid "
+                             f"points, got {n}")
+        # taps[s, i]: the node at offset s - 2 from point i
+        i = np.arange(n)
+        if periodic:
+            pad = np.concatenate([i[-2:], i, i[:2]])
+        else:
+            pad = np.concatenate([i[2:0:-1], i, i[-2:-4:-1]])
+        at = np.arange(5)[:, None] + i
+        self.taps = pad[at]
+        self.sign = (None if periodic else
+                     np.where((at < 2) | (at >= n + 2), -1.0, 1.0))
+        self.weights = _STENCILS / np.array([[2.0 * dx], [dx ** 2], [1.0]])
+
+    def __call__(self, a: np.ndarray, odd: bool = True) -> np.ndarray:
+        """(rows, 3, n) array: d1, d2 and dx^4 d4 of each row of a.  With
+        odd, the mirrored ghost nodes of the first four rows (U and V of a
+        state) are negated; the rest, ThetaPrime and the fluxes, are
+        even."""
+        g = np.take(a, self.taps, axis=1)
+        if odd and self.sign is not None:
+            g[:4] *= self.sign
+        return self.weights @ g
+
+
+def _coefficients(p: SlabParams) -> np.ndarray:
+    """(3, 18) matrix whose rows, times the basis Th^k A^i W^j (A = U1x^2,
+    W = V1x^2; k-major over Th^0..2, then 1, A, A^2, W, A W, W^2), give the
+    factors that multiply U1x in the bracket over rho, U1x V1x in the heat
+    flux b^2 h_flux2 U1x V1x over C_v, and U1x V1x in the heating over
+    C_v."""
+    b2, b4, o = p.b ** 2, p.b ** 4, 0.0
+    return np.array([
+        [o, p.s_cubic[0], p.s_quintic,
+         b2 * p.s_rate2[0], b2 * p.s_rate2_cubic, b4 * p.s_rate4,
+         p.s_theta[0], p.s_cubic[1], o, b2 * p.s_rate2[1], o, o,
+         p.s_theta[1], o, o, o, o, o],
+        [b2 * p.h_flux2] + [o] * 17,
+        [p.h_lin[0], p.h_cubic[0], p.h_quintic,
+         b2 * p.h_rate3[0], b2 * p.h_mixed33, b4 * p.h_rate5,
+         p.h_lin[1], p.h_cubic[1], o, b2 * p.h_rate3[1], o, o,
+         p.h_lin[2], o, o, o, o, o]]) / np.array([[p.rho], [p.cv], [p.cv]])
 
 
 class _SlabRhs:
     """dz/dt for z = (U1, U2, V1, V2, ThetaPrime) of shape (5, n), as one
     new (5, n) array.  Raises IntegrationError(t) for a stage ThetaPrime
     that SlabState.validate rejects and for a non-finite dV1, dV2 or dTh.
-    Also the state packing, check and diagnostics of solver1d._drive."""
+    Also the state packing, check and diagnostics of solver1d._drive, and
+    the cross-slab reconstruction.
+
+    One evaluation is three matrix products: the stencil weights over one
+    gather of z give every difference of z, the coefficient matrix every
+    polynomial factor of the truncation, and the stencil weights again
+    the flux-form differences of the bracket and of the b^2 U1x V1x heat
+    flux.  The tail adds the linear terms (one small product over the
+    differences) and the curvature heating.  ValueError for fewer points
+    than a SlabRunSetup has."""
 
     def __init__(self, params: SlabParams, dx: float, ends: str, n: int):
-        self.p, self.dx = params, dx
-        # two ghost nodes per end: wrapped around, or mirrored about the end
-        # node and negated for U and V (odd), not for ThetaPrime (even)
-        i, self.sign = np.arange(n), None
-        if _periodic(ends):
-            self.idx = np.concatenate([i[-2:], i, i[:2]])
-        else:
-            self.idx = np.concatenate([i[2:0:-1], i, i[-2:-4:-1]])
-            self.sign = np.ones((5, n + 4))
-            self.sign[:4, [0, 1, -2, -1]] = -1.0
-
-    def differences(self, a: np.ndarray, odd: bool = True) -> tuple:
-        """Centred 1st and 2nd differences of the rows of a, and a padded."""
-        ap = a[:, self.idx]
-        if odd and self.sign is not None:    # odd ghosts for U and V
-            ap *= self.sign
-        return ((ap[:, 3:-1] - ap[:, 1:-3]) / (2.0 * self.dx),
-                (ap[:, 3:-1] - 2.0 * ap[:, 2:-2] + ap[:, 1:-3]) / self.dx ** 2,
-                ap)
+        p, b2, dx4 = params, params.b ** 2, dx ** 4
+        self.differences = _Differences(dx, ends, n)
+        self.p, self.n, self.one = params, n, np.ones(n)
+        self.coef = _coefficients(p)
+        # the linear terms of (dV1, dV2, dTh) over the rows of differences
+        lin = np.zeros((3, 5, 3))           # [equation][field][difference]
+        lin[0, 0, 1:] = p.c_wave / p.rho, p.c_disp * b2 / (p.rho * dx4)
+        lin[1, 1, 2] = -p.c_bend * b2 / (p.rho * dx4)
+        lin[2, 4, 1] = p.kappa / p.cv
+        self.lin = lin.reshape(3, 15)
+        # a (1, 2) row: a matrix-vector product would make BLAS allocate
+        # one more buffer on its first call (about 0.3 MiB of peak RSS)
+        self.curv = np.array([[p.h_curv_long, p.h_curv_bend]]) * (b2 / p.cv)
 
     def pack(self, state: SlabState) -> np.ndarray:
         return state.fields()
@@ -251,49 +323,36 @@ class _SlabRhs:
     def diag(self, state: SlabState) -> tuple:
         """Diagnostics row (t, max |U1x|, max |U2x|, ThetaPrime min and
         max)."""
-        d1 = self.differences(state.fields())[0]
+        d1 = self.differences(state.fields())[:, 0]
         return (state.t, float(np.abs(d1[0]).max()),
                 float(np.abs(d1[1]).max()), float(state.Th.min()),
                 float(state.Th.max()))
 
     def __call__(self, z: np.ndarray, t: float) -> np.ndarray:
         self.check(z, t)
-        p, Th = self.p, z[4]
-        b2, b4 = p.b * p.b, p.b ** 4
-        d1, d2, zp = self.differences(z)
-        d4 = (zp[:2, 4:] - 4.0 * zp[:2, 3:-1] + 6.0 * zp[:2, 2:-2]
-              - 4.0 * zp[:2, 1:-3] + zp[:2, :-4]) / self.dx ** 4
-        U1x, V1x = d1[0], d1[2]
-        U1x3, U1x5, V1x2, V1x3 = U1x ** 3, U1x ** 5, V1x ** 2, V1x ** 3
-
-        # the stress-law bracket and the b^2 U1x V1x heat flux, padded
-        # together (even extension); d/dx of one, d^2/dx^2 of the other
-        bracket = ((p.s_theta[0] * Th + p.s_theta[1] * Th * Th) * U1x
-                   + (p.s_cubic[0] + p.s_cubic[1] * Th) * U1x3
-                   + p.s_quintic * U1x5
-                   + (p.s_rate2[0] + p.s_rate2[1] * Th) * b2 * V1x2 * U1x
-                   + p.s_rate4 * b4 * V1x ** 4 * U1x
-                   + p.s_rate2_cubic * b2 * V1x2 * U1x3)
-        f1, f2, _ = self.differences(
-            np.array([bracket, p.h_flux2 * b2 * U1x * V1x]), odd=False)
-
+        n, Th = self.n, z[4]
+        d = self.differences(z)
+        U1x, V1x = d[0, 0], d[2, 0]
+        A, W, uv = U1x * U1x, V1x * V1x, U1x * V1x
+        T = np.array([self.one, Th, Th * Th])
+        M = np.array([self.one, A, A * A, W, A * W, W * W])
+        # the bracket over rho, the heat flux and the heating over C_v
+        g = ((self.coef @ (T[:, None] * M).reshape(18, n))
+             * np.array([U1x, uv, uv]))
+        # d/dx of the bracket and d^2/dx^2 of the flux, both even
+        f = self.differences(g[:2], odd=False)
         out = np.empty_like(z)
         out[:2] = z[2:4]
-        out[2] = (p.c_wave * d2[0] + p.c_disp * b2 * d4[0] + f1[0]) / p.rho
-        out[3] = -(p.c_bend * b2 * d4[1]) / p.rho
-        heating = ((p.h_lin[0] + p.h_lin[1] * Th + p.h_lin[2] * Th * Th)
-                   * U1x * V1x
-                   + (p.h_cubic[0] + p.h_cubic[1] * Th) * V1x * U1x3
-                   + (p.h_rate3[0] + p.h_rate3[1] * Th) * b2 * V1x3 * U1x
-                   + p.h_quintic * V1x * U1x5
-                   + p.h_mixed33 * b2 * V1x3 * U1x3
-                   + p.h_rate5 * b4 * V1x ** 5 * U1x
-                   + p.h_curv_long * b2 * d2[0] * d2[2]
-                   + p.h_curv_bend * b2 * d2[1] * d2[3])
-        out[4] = (p.kappa * d2[4] + heating + f2[1]) / p.cv
+        out[2:] = self.lin @ d.reshape(15, n)
+        out[2] += f[0, 0]
+        out[4:] += g[2:] + self.curv @ (d[:2, 1] * d[2:4, 1]) + f[1:, 1]
         if not np.isfinite(out[2:]).all():
             raise IntegrationError(t, "non-finite right-hand side")
         return out
+
+    def reconstruct(self, state: SlabState, Y) -> tuple:
+        """reconstruct_fields of state at Y."""
+        return _reconstruct(state, self.p, Y, self.differences)
 
 
 def slab_rhs(state: SlabState, params: SlabParams, dx: float,
@@ -302,8 +361,8 @@ def slab_rhs(state: SlabState, params: SlabParams, dx: float,
 
     Every printed term of the truncation is evaluated with second-order
     centred differences; the strain-law bracket is differenced in flux
-    form.  Raises ValueError on an invalid state, IntegrationError on a
-    non-finite right-hand side.
+    form.  Raises ValueError on an invalid state or fewer grid points than
+    a SlabRunSetup has, IntegrationError on a non-finite right-hand side.
     """
     rhs = _SlabRhs(params, dx, ends, state.U1.size)
     return tuple(rhs(state.validate().fields(), state.t))
@@ -323,13 +382,20 @@ def reconstruct_fields(state: SlabState, params: SlabParams, Y,
 
     Y may be a scalar or an array; field arrays broadcast against it with
     Y in the leading axis, and each row equals the fields at that scalar Y.
-    ValueError unless every Y is finite and in [-1, 1].
+    ValueError unless every Y is finite and in [-1, 1], and for fewer grid
+    points than a SlabRunSetup has.
     """
+    return _reconstruct(state, params, Y,
+                        _Differences(dx, ends, state.U1.size))
+
+
+def _reconstruct(state: SlabState, p: SlabParams, Y,
+                 differences: _Differences) -> tuple:
+    """reconstruct_fields with the grid's differences."""
     Y = _check_y(Y)
-    p = params
     b, b2, b3 = p.b, p.b ** 2, p.b ** 3
-    (U1x, U2x, V1x, _, _), (U1xx, U2xx, _, V2xx, _), _ = _SlabRhs(
-        p, dx, ends, state.U1.size).differences(state.fields())
+    d = differences(state.fields())
+    (U1x, U2x, V1x), (U1xx, U2xx, V2xx) = d[:3, 0], d[[0, 1, 3], 1]
     Th = state.Th
     Yc = Y[..., None] if Y.ndim else Y
 
@@ -353,10 +419,11 @@ def reconstruct_fields(state: SlabState, params: SlabParams, Y,
 # coarse grids its long-wave validity demands)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SlabRunSetup:
     """Run description; dx = length/nx.  Periodic runs carry nx points on
-    [0, length), pinned-insulated runs nx+1 points including both ends."""
+    [0, length), pinned-insulated runs nx+1 points including both ends.
+    Frozen, so that the right-hand side it builds once cannot go stale."""
 
     params: SlabParams
     length: float
@@ -370,6 +437,7 @@ class SlabRunSetup:
     def __post_init__(self):
         _check_positive(self)
         _step_count(self.t_end, self.dt)
+        _snapshot_count(self.t_end, self.output_interval)
         Grid1D(self.length, self.nx)        # checks length and nx
         self.state0.validate()
         want = _grid_points(self.length, self.nx, self.ends).size
@@ -380,6 +448,12 @@ class SlabRunSetup:
     @property
     def dx(self) -> float:
         return self.length / self.nx
+
+    @cached_property
+    def _rhs(self) -> _SlabRhs:
+        """The right-hand side of the run, built once: slab_simulate steps
+        with it and the CLI writer reconstructs with it."""
+        return _SlabRhs(self.params, self.dx, self.ends, self.state0.U1.size)
 
 
 def slab_simulate(setup: SlabRunSetup) -> Trajectory:
@@ -398,5 +472,4 @@ def slab_simulate(setup: SlabRunSetup) -> Trajectory:
         # pinned ends: U and V are zero there, as the odd ghost nodes assume
         for a in (state.U1, state.U2, state.V1, state.V2):
             a[[0, -1]] = 0.0
-    rhs = _SlabRhs(setup.params, setup.dx, setup.ends, state.U1.size)
-    return _drive(setup, state, rhs, _stepper(rhs, "rk4"))
+    return _drive(setup, state, setup._rhs, _stepper(setup._rhs, "rk4"))

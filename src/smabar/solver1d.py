@@ -42,7 +42,6 @@ integrator of the phase-transformation experiments.
 from __future__ import annotations
 
 import os
-import sys
 from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable, Optional
@@ -884,21 +883,35 @@ def step(state: FieldState, dt: float, grid: Grid1D, params: MaterialParams1D,
     return f.unpack(z1, state.t + dt)
 
 
+# Validity bounds of a run: 10^9 steps is days of stepping (10^8 RK4 bar
+# steps take about 4 h), and a million snapshots already means (nx+1)
+# million CSV rows.
+_MAX_STEPS = 10**9
+_MAX_SNAPSHOTS = 10**6
+
+
 def _step_count(t_end: float, dt: float) -> int:
     """ceil(t_end/dt), the number of steps _drive takes; the 1e-9 absorbs
     round-off in a ratio meant to be whole.  Both times are positive; a
-    ratio that overflows is a ValueError."""
-    if t_end / dt == np.inf:
+    ratio that overflows, or a count above _MAX_STEPS, is a ValueError."""
+    ratio = t_end / dt - 1e-9
+    if ratio == np.inf:
         raise ValueError("t_end/dt must be a finite step count")
-    return int(np.ceil(t_end / dt - 1e-9))
+    if ratio > _MAX_STEPS:
+        raise ValueError(f"t_end/dt asks for more than {_MAX_STEPS} steps")
+    return int(np.ceil(ratio))
 
 
 def _snapshot_count(t_end: float, output_interval: float) -> int:
     """floor(t_end/output_interval) + 1, the number of snapshots _drive
     stores (t = 0 and one per multiple of output_interval); the 1e-9
     absorbs round-off in a ratio meant to be whole.  Both times are
-    positive, and a ratio that overflows counts as the largest float."""
-    return int(min(t_end / output_interval + 1e-9, sys.float_info.max)) + 1
+    positive; a count above _MAX_SNAPSHOTS is a ValueError."""
+    ratio = t_end / output_interval + 1e-9
+    if ratio >= _MAX_SNAPSHOTS:
+        raise ValueError(f"t_end/output_interval asks for more than "
+                         f"{_MAX_SNAPSHOTS} snapshots")
+    return int(ratio) + 1
 
 
 def _drive(setup, state, f, advance) -> Trajectory:
@@ -964,6 +977,7 @@ class RunSetup:
     def __post_init__(self):
         _check_positive(self)
         _step_count(self.t_end, self.dt)
+        _snapshot_count(self.t_end, self.output_interval)
         if self.integrator not in INTEGRATORS:
             raise ValueError(f"integrator must be one of {INTEGRATORS}")
         if self.integrator != "rk4":

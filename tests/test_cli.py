@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from smabar import solver1d
+from smabar import slab, solver1d
 from smabar.cli import (
     _FORCING,
     _INITIAL,
@@ -533,6 +533,21 @@ class TestRunArtifacts:
         assert len(rec) == 1 + 3 * 2 * 32     # snapshots * Y values * points
 
     @pytest.mark.parametrize("ends", ENDS)
+    def test_slab_run_builds_its_operator_once(self, tmp_path, monkeypatch,
+                                               ends):
+        """One slab run, snapshots, diagnostics and reconstruction
+        included, steps and reconstructs with a single right-hand side and
+        a single set of difference stencils."""
+        built = []
+        for cls in (slab._SlabRhs, slab._Differences):
+            monkeypatch.setattr(cls, "__init__", lambda self, *a, _init=(
+                cls.__init__): built.append(type(self)) or _init(self, *a))
+        cfg = _read_config_text(SLAB.replace("pinned_insulated", ends),
+                                ["time.t_end=0.004"])
+        assert cfg.reconstruct_y and run(cfg, str(tmp_path)) == 0
+        assert built == [slab._SlabRhs, slab._Differences]
+
+    @pytest.mark.parametrize("ends", ENDS)
     def test_reconstruction_rows(self, tmp_path, ends):
         """reconstruction.csv holds, in (t, Y, x) order, reconstruct_fields
         at each scalar Y of each snapshot, to the last bit."""
@@ -801,13 +816,18 @@ class TestMain:
          "[slab] kappa and c_bend must be non-negative"),
         ("slab", "slab.c_bend=-991000",
          "[slab] kappa and c_bend must be non-negative"),
+        ("conservation", "time.dt=1e-300",
+         "[time] t_end/dt asks for more than 1000000000 steps"),
+        ("slab", "time.dt=1e-300",
+         "[time] t_end/dt asks for more than 1000000000 steps"),
     ], ids=["mms_mu", "mms_gamma", "bar_snapshots", "slab_snapshots",
             "snapshot_ratio_overflow",
             "tau0_below_floor", "tau0_subnormal", "conductivity_zero",
             "conductivity_negative", "slab_theta_prime",
             "breakpoints_descending", "breakpoints_repeated",
             "bar_step_count_overflow", "slab_step_count_overflow",
-            "slab_kappa_negative", "slab_c_bend_negative"])
+            "slab_kappa_negative", "slab_c_bend_negative",
+            "bar_step_ceiling", "slab_step_ceiling"])
     def test_outside_validity_is_config_error(self, tmp_path, capsys, run,
                                               override, message):
         source = _source(run, str(tmp_path))
@@ -881,15 +901,20 @@ class TestMain:
         (np.nextafter(1e6, 0.0), 10**6 + 1), (1e6, 10**6 + 1)],
         ids=["1e6-1", "below-1e6", "next-below-1e6", "1e6"])
     def test_snapshot_ceiling_follows_the_snapshot_count(self, t_end, count):
-        """validate rejects exactly the runs for which the stored
-        snapshot count, solver1d._snapshot_count, is above 10^6 (its 1e-9
-        round-off allowance takes the ratio one float below 10^6 as 10^6)."""
-        cfg = replace(preset("conservation"), t_end=t_end, output_interval=1.0)
-        assert solver1d._snapshot_count(t_end, 1.0) == count
+        """solver1d._snapshot_count returns the stored snapshot count up to
+        10^6 and refuses a larger one, and validate rejects exactly those
+        runs (the 1e-9 round-off allowance takes the ratio one float below
+        10^6 as 10^6).  dt = 1 keeps the step count below its own 10^9
+        ceiling."""
+        cfg = replace(preset("conservation"), t_end=t_end, dt=1.0,
+                      output_interval=1.0)
         if count > 10**6:
+            with pytest.raises(ValueError, match="than 1000000 snapshots"):
+                solver1d._snapshot_count(t_end, 1.0)
             with pytest.raises(ConfigError, match="than 1000000 snapshots"):
                 cfg.validate()
         else:
+            assert solver1d._snapshot_count(t_end, 1.0) == count
             cfg.validate()
 
 
@@ -974,6 +999,8 @@ class TestExitCodeContract:
     @example(case=("conservation", "time.dt=5e-324"), out_is_file=False)
     @example(case=("experiment2", "time.dt=5e-324"), out_is_file=False)
     @example(case=("slab", "time.dt=5e-324"), out_is_file=False)
+    @example(case=("conservation", "time.dt=1e-310"), out_is_file=False)
+    @example(case=("slab", "time.dt=1e-310"), out_is_file=False)
     @example(case=("slab", "slab.kappa=-0.019"), out_is_file=False)
     @example(case=("slab", "slab.c_bend=-991000"), out_is_file=False)
     def test_main_returns_an_exit_code(self, case, out_is_file):

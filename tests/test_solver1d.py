@@ -979,6 +979,14 @@ class TestBoundaryConditions:
 
 
 class TestSimulate:
+    def test_step_count_ceiling_is_inclusive(self):
+        """_step_count returns ceil(t_end/dt) up to 10^9 steps and refuses
+        more, so an enormous finite count ends before any stepping."""
+        assert solver1d._step_count(1e9, 1.0) == 10**9
+        for t_end, dt in ((1e9 + 1.0, 1.0), (0.24, 1e-300)):
+            with pytest.raises(ValueError, match="more than 1000000000 steps"):
+                solver1d._step_count(t_end, dt)
+
     def test_snapshot_count(self):
         g = Grid1D(1.0, 8)
         st = make_state(g, theta=250.0)
