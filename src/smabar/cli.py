@@ -71,7 +71,7 @@ from .manufactured import build_mms_case
 from .slab import (ENDS, SlabParams, SlabRunSetup, SlabState, _check_y,
                    _grid_points, cu_based_slab, slab_simulate)
 from .solver1d import (BoundarySpec, FieldState, Forcing, Grid1D,
-                       IntegrationError, RunSetup, compute_stress, simulate)
+                       IntegrationError, RunSetup, simulate)
 
 __all__ = ["SimConfig", "ConfigError", "load_config", "write_config",
            "preset", "run", "main", "classify_strain"]
@@ -172,7 +172,6 @@ _COMMON = [("model", "kind", ("model",)),
 _SCHEMA = {
     "full_1d": _COMMON
     + _rows("material", MaterialParams1D, ("material",))
-    + [("material", "gamma_negate", ("gamma_negate",))]
     + _rows("bcs", BoundarySpec, ("bcs",))
     + _rows("forcing", ForcingSpec, ("forcing",), _without_kind)
     + _rows("initial", InitialSpec, ("initial",), _without_kind)
@@ -284,7 +283,6 @@ class SimConfig:
 
     model: str = "full_1d"                 # full_1d | slab
     material: MaterialParams1D = field(default_factory=cu_based)
-    gamma_negate: bool = False             # flips the sign of the u_xxxx term
     slab_material: SlabParams = field(default_factory=cu_based_slab)
     length: float = 1.0
     nx: int = 24
@@ -309,7 +307,9 @@ class SimConfig:
 
     def validate(self):
         """ConfigError where the config is outside its model's validity;
-        returns self."""
+        returns self.  Two checks need the initial state's physics and are
+        resolve's, not validate's: a full_1d RK4 dt above the initial
+        stable step, and a start where C_v - nu <eps_dot> is not positive."""
         self._checked()
         return self
 
@@ -441,7 +441,7 @@ class SimConfig:
                     f"step {bound:.6g} ms of the initial state")
         return RunSetup(grid, self.material, self.bcs, forcing, state0,
                         self.dt, self.t_end, self.output_interval,
-                        self.integrator, -1.0 if self.gamma_negate else 1.0)
+                        self.integrator)
 
 
 _DEFAULTS = SimConfig()
@@ -456,8 +456,6 @@ def _format(path, value) -> str:
     default = _lookup(_DEFAULTS, path)
     if path == _BREAKPOINTS:
         return ", ".join(f"{float(x)!r}:{float(u)!r}" for x, u in value)
-    if isinstance(default, bool):
-        return "true" if value else "false"
     if isinstance(default, tuple):
         return ", ".join(repr(float(v)) for v in value)
     if isinstance(default, float):
@@ -480,10 +478,6 @@ def _parse(path, raw: str):
         if any(len(pair) != 2 for pair in pairs):
             raise ValueError("breakpoints are x:value pairs")
         return tuple((_float(x), _float(u)) for x, u in pairs)
-    if isinstance(default, bool):
-        if raw.lower() not in ("true", "false"):
-            raise ValueError("expected true or false")
-        return raw.lower() == "true"
     if isinstance(default, tuple):
         values = tuple(_float(v) for v in items)
         if default and len(values) != len(default):
@@ -585,7 +579,8 @@ def _read_file(path: str) -> str:
 
 
 def load_config(path: str) -> SimConfig:
-    """Read and validate an INI config file."""
+    """Read and validate an INI config file (SimConfig.validate; the RK4
+    stable-step and nu-degenerate start checks come with resolve)."""
     return _read_config_text(_read_file(path))
 
 
@@ -691,14 +686,12 @@ def _write_csv(path, header, blocks):
 
 
 def _write_1d_artifacts(out_dir, config, traj):
-    setup = traj.setup
-    grid = setup.grid
+    grid = traj.setup.grid
     x = grid.nodes()
     blocks, lines = [], []
     for st in traj.snapshots:
         eps_n = solver1d._node_average(st.strain(grid))
-        s_n = solver1d._node_average(compute_stress(
-            st, grid, setup.params, setup.bcs, setup.forcing))
+        s_n = solver1d._node_average(traj.rhs.stress(st))
         blocks.append(_block(st.t, x, st.u, st.v, st.theta, eps_n, s_n))
         labels = classify_strain(eps_n, config.austenite_band)
         n_a = int(np.sum(labels == "A"))
@@ -742,7 +735,7 @@ def _write_slab_artifacts(out_dir, config, traj):
         _write_csv(os.path.join(out_dir, "reconstruction.csv"),
                    "t,x,Y,u1,u2,theta",
                    (_block(st.t, x, Y[:, None],
-                           *setup._rhs.reconstruct(st, Y))
+                           *traj.rhs.reconstruct(st, Y))
                     for st in traj.snapshots))
     lines = [f"t={d[0]:.6g} max_abs_U1x={d[1]:.6g} max_abs_U2x={d[2]:.6g} "
              f"theta_prime=[{d[3]:.6g},{d[4]:.6g}]" for d in traj.diagnostics]

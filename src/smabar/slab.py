@@ -60,7 +60,6 @@ state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -423,7 +422,7 @@ def _reconstruct(state: SlabState, p: SlabParams, Y,
 class SlabRunSetup:
     """Run description; dx = length/nx.  Periodic runs carry nx points on
     [0, length), pinned-insulated runs nx+1 points including both ends.
-    Frozen, so that the right-hand side it builds once cannot go stale."""
+    Frozen, so that its fields stay the ones __post_init__ checked."""
 
     params: SlabParams
     length: float
@@ -449,12 +448,6 @@ class SlabRunSetup:
     def dx(self) -> float:
         return self.length / self.nx
 
-    @cached_property
-    def _rhs(self) -> _SlabRhs:
-        """The right-hand side of the run, built once: slab_simulate steps
-        with it and the CLI writer reconstructs with it."""
-        return _SlabRhs(self.params, self.dx, self.ends, self.state0.U1.size)
-
 
 def slab_simulate(setup: SlabRunSetup) -> Trajectory:
     """RK4 time integration of the reduced model.
@@ -472,4 +465,5 @@ def slab_simulate(setup: SlabRunSetup) -> Trajectory:
         # pinned ends: U and V are zero there, as the odd ghost nodes assume
         for a in (state.U1, state.U2, state.V1, state.V2):
             a[[0, -1]] = 0.0
-    return _drive(setup, state, setup._rhs, _stepper(setup._rhs, "rk4"))
+    f = _SlabRhs(setup.params, setup.dx, setup.ends, state.U1.size)
+    return _drive(setup, state, f, _stepper(f, "rk4"))

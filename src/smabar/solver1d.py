@@ -384,6 +384,11 @@ class _Rhs:
             s = s + p.nu * 0.5 * (th_t[..., 1:] + th_t[..., :-1])
         return eps, deps, dd_n, th_m, cond, coupling, g_heat, th_t, s
 
+    def stress(self, state: FieldState) -> np.ndarray:
+        """Midpoint stress of state (compute_stress)."""
+        Z = self.pack(state).reshape(self.nn, self.nf)
+        return self._stress_and_rates(Z, state.t)[-1]
+
     def __call__(self, z: np.ndarray, t: float) -> np.ndarray:
         p, dxi = self.p, self.dxi
         Z = z.reshape(z.shape[:-1] + (self.nn, self.nf))
@@ -447,9 +452,8 @@ def compute_stress(state: FieldState, grid: Grid1D, params: MaterialParams1D,
     to insulated ends and no forcing.
     """
     state.validate(grid, params)
-    f = _Rhs(grid, params, bcs or BoundarySpec(), forcing or Forcing.none())
-    Z = f.pack(state).reshape(f.nn, f.nf)
-    return f._stress_and_rates(Z, state.t)[-1]
+    return _Rhs(grid, params, bcs or BoundarySpec(),
+                forcing or Forcing.none()).stress(state)
 
 
 def rhs(state: FieldState, grid: Grid1D, params: MaterialParams1D,
@@ -917,7 +921,7 @@ def _snapshot_count(t_end: float, output_interval: float) -> int:
 def _drive(setup, state, f, advance) -> Trajectory:
     """Advance state from t = 0 to setup.t_end in fixed steps of setup.dt
     (the last one shortened to end on t_end) and return the Trajectory of
-    setup.
+    setup, which keeps f as its rhs.
 
     The model's right-hand side f supplies pack(state) -> z, unpack(z, t)
     that builds a state with its own copy of z's values, check(z, t) that
@@ -930,7 +934,7 @@ def _drive(setup, state, f, advance) -> Trajectory:
     stored: IntegrationError at its end time, with the trajectory (failed,
     failure set) attached as `partial`.
     """
-    traj = Trajectory(setup)
+    traj = Trajectory(setup, f)
     n_snap = _snapshot_count(setup.t_end, setup.output_interval)
     snap_times = np.arange(n_snap) * setup.output_interval
     tol = 1e-9 * max(setup.dt, setup.output_interval)
@@ -987,10 +991,12 @@ class RunSetup:
 @dataclass
 class Trajectory:
     """The output of a run of either model: its setup (RunSetup or
-    slab.SlabRunSetup), the stored snapshots, one diagnostics row each
-    (the model's diag), and the abort status."""
+    slab.SlabRunSetup), the right-hand side it stepped with (_Rhs or
+    slab._SlabRhs, which the artifact writers read), the stored snapshots,
+    one diagnostics row each (the model's diag), and the abort status."""
 
     setup: object
+    rhs: object
     snapshots: list = field(default_factory=list)
     diagnostics: list = field(default_factory=list)
     failed: bool = False

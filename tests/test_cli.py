@@ -177,10 +177,16 @@ class TestConfigIO:
             load_config(str(path))
 
     def test_unknown_key_named(self, tmp_path):
-        path = tmp_path / "bad.ini"
-        path.write_text(MINIMAL.replace("nx = 8", "nx = 8\nresolution = 4"))
-        with pytest.raises(ConfigError, match="resolution"):
-            load_config(str(path))
+        # gamma_negate is gone: a negative gamma flips the u_xxxx term
+        for text, key in [
+                (MINIMAL.replace("nx = 8", "nx = 8\nresolution = 4"),
+                 "resolution"),
+                (MINIMAL + "\n[material]\ngamma_negate = true\n",
+                 "gamma_negate")]:
+            path = tmp_path / "bad.ini"
+            path.write_text(text)
+            with pytest.raises(ConfigError, match=rf"unknown keys: {key}"):
+                load_config(str(path))
 
     def test_unknown_section_named(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -294,9 +300,10 @@ def mms_regime(cfg):
 
 FULL_1D = st.builds(
     SimConfig, **common_fields("full_1d"), length=POS,
+    # gamma of either sign: a negative one flips the u_xxxx term
     material=dataclass_of(MaterialParams1D, "full_1d", ("material",),
-                          positive=[f.name for f in fields(MaterialParams1D)]),
-    gamma_negate=st.booleans(),
+                          positive=[f.name for f in fields(MaterialParams1D)],
+                          gamma=NUM),
     bcs=dataclass_of(BoundarySpec, "full_1d", ("bcs",),
                      positive=["beta", "fixed_value"],
                      mech=st.sampled_from(MECH_KINDS),
@@ -532,20 +539,47 @@ class TestRunArtifacts:
         assert rec[0] == "t,x,Y,u1,u2,theta"
         assert len(rec) == 1 + 3 * 2 * 32     # snapshots * Y values * points
 
-    @pytest.mark.parametrize("ends", ENDS)
-    def test_slab_run_builds_its_operator_once(self, tmp_path, monkeypatch,
-                                               ends):
-        """One slab run, snapshots, diagnostics and reconstruction
-        included, steps and reconstructs with a single right-hand side and
-        a single set of difference stencils."""
+    @pytest.mark.parametrize("model, ends", [
+        ("slab", "periodic"), ("slab", "pinned_insulated"),
+        ("full_1d", None)], ids=["slab-periodic", "slab-pinned_insulated",
+                                 "full_1d"])
+    def test_run_builds_its_right_hand_side_once(self, tmp_path, monkeypatch,
+                                                 model, ends):
+        """One run, snapshots, diagnostics, stress and reconstruction
+        included, steps and writes with a single right-hand side (and, for
+        the slab, a single set of difference stencils).  MINIMAL's start
+        (nu = tau0 = 0) needs no right-hand side of its own."""
+        classes = ([slab._SlabRhs, slab._Differences] if model == "slab"
+                   else [solver1d._Rhs])
         built = []
-        for cls in (slab._SlabRhs, slab._Differences):
+        for cls in classes:
             monkeypatch.setattr(cls, "__init__", lambda self, *a, _init=(
                 cls.__init__): built.append(type(self)) or _init(self, *a))
-        cfg = _read_config_text(SLAB.replace("pinned_insulated", ends),
-                                ["time.t_end=0.004"])
-        assert cfg.reconstruct_y and run(cfg, str(tmp_path)) == 0
-        assert built == [slab._SlabRhs, slab._Differences]
+        text = (MINIMAL if ends is None
+                else SLAB.replace("pinned_insulated", ends))
+        cfg = _read_config_text(text, ["time.t_end=0.004"])
+        assert model == "full_1d" or cfg.reconstruct_y
+        assert run(cfg, str(tmp_path)) == 0
+        assert built == classes
+
+    @pytest.mark.parametrize("model", list(MODELS))
+    def test_resolved_config_reruns_identically(self, tmp_path, model):
+        """config_resolved.txt, loaded and run again, writes every artifact
+        byte for byte (the bar with a negative gamma, the slab with its
+        reconstruction)."""
+        text, overrides = {
+            "full_1d": (write_config(preset("experiment2")),
+                        ["time.t_end=0.04", "material.gamma=-1e-6"]),
+            "slab": (SLAB, ["time.t_end=0.004"])}[model]
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run(_read_config_text(text, overrides), str(first)) == 0
+        resolved = load_config(str(first / "config_resolved.txt"))
+        assert run(resolved, str(second)) == 0
+        names = sorted(os.listdir(first))
+        assert names == sorted(os.listdir(second))
+        assert len(names) == {"full_1d": 4, "slab": 5}[model]
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes()
 
     @pytest.mark.parametrize("ends", ENDS)
     def test_reconstruction_rows(self, tmp_path, ends):
@@ -632,6 +666,9 @@ class TestDriverContract:
             _simulate(setup)
         partial = err.value.partial
         assert partial.failed and partial.failure == str(err.value)
+        # the writers read the run's right-hand side off the trajectory
+        assert type(partial.rhs) is (slab._SlabRhs if model == "slab"
+                                     else solver1d._Rhs)
         assert partial.snapshots
         assert len(partial.diagnostics) == len(partial.snapshots)
         # the rejected step is not stored

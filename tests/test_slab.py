@@ -218,8 +218,8 @@ class TestValidation:
         reconstruct_fields(uniform_state(n=least), P, 0.5, DX, ends)
 
     def test_setup_is_frozen(self):
-        """A setup's fields cannot change once it is built, so the
-        right-hand side it builds on first use stays that of its fields."""
+        """A setup's fields cannot change once it is built, so they stay
+        the ones its __post_init__ checked."""
         setup = SlabRunSetup(P, L, NX, uniform_state(), 1e-4, 1e-3, 1e-3)
         with pytest.raises(FrozenInstanceError):
             setup.nx = 2 * NX

@@ -205,6 +205,26 @@ class TestRhs:
         order = np.log2(errs[32] / errs[64])
         assert 1.7 < order < 2.3
 
+    @pytest.mark.parametrize("tau0", [0.0, 1e-3])
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), nx=st.integers(4, 12),
+           gamma=st.floats(-1e3, 1e3).filter(lambda g: g != 0.0),
+           mech=st.sampled_from(MECH_KINDS), t=st.floats(0.0, 10.0))
+    def test_gamma_sign_is_the_sign_of_gamma(self, tau0, seed, nx, gamma,
+                                             mech, t):
+        """gamma_sign = -1 with gamma gives the bits of gamma_sign = 1 with
+        -gamma, so a negative gamma is all a config needs to flip the
+        u_xxxx term."""
+        p = P.with_(tau0=tau0, gamma=gamma)
+        g = Grid1D(1.0, nx)
+        bcs = BoundarySpec(mech, "controlled_flux", beta=0.5,
+                           theta_ambient=290.0)
+        zs = _random_stack(seed, p, nx, 3)
+        flipped = _Rhs(g, p, bcs, WAVY, gamma_sign=-1.0)(zs, t)
+        negated = _Rhs(g, p.with_(gamma=-gamma), bcs, WAVY, 1.0)(zs, t)
+        np.testing.assert_array_equal(flipped.view(np.int64),
+                                      negated.view(np.int64))
+
 
 class TestStep:
     def test_equilibrium_fixed_point_all_integrators(self):
