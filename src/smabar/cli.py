@@ -324,9 +324,7 @@ class SimConfig:
                     f"[{section}] {key} = {_lookup(self, path)!r}: the "
                     f"{self.model} model accepts {', '.join(allowed)}")
         with _reraised("[time]"):
-            solver1d._check_positive(self)
-            solver1d._step_count(self.t_end, self.dt)
-            solver1d._snapshot_count(self.t_end, self.output_interval)
+            solver1d._check_times(self)
         with _reraised("[grid]"):
             grid = Grid1D(self.length, self.nx)
         if self.austenite_band <= 0 or self.martensite_band < self.austenite_band:

@@ -63,8 +63,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver1d import (Grid1D, IntegrationError, Trajectory, _check_positive,
-                       _drive, _snapshot_count, _step_count, _stepper)
+from .solver1d import Grid1D, IntegrationError, _check_times
+from .solver1d import simulate as slab_simulate
 
 __all__ = [
     "SlabParams",
@@ -279,7 +279,7 @@ class _SlabRhs:
     """dz/dt for z = (U1, U2, V1, V2, ThetaPrime) of shape (5, n), as one
     new (5, n) array.  Raises IntegrationError(t) for a stage ThetaPrime
     that SlabState.validate rejects and for a non-finite dV1, dV2 or dTh.
-    Also the state packing, check and diagnostics of solver1d._drive, and
+    Also the state packing, check and diagnostics of solver1d.simulate, and
     the cross-slab reconstruction.
 
     One evaluation is three matrix products: the stencil weights over one
@@ -422,7 +422,14 @@ def _reconstruct(state: SlabState, p: SlabParams, Y,
 class SlabRunSetup:
     """Run description; dx = length/nx.  Periodic runs carry nx points on
     [0, length), pinned-insulated runs nx+1 points including both ends.
-    Frozen, so that its fields stay the ones __post_init__ checked."""
+    Frozen, so that its fields stay the ones __post_init__ checked.
+
+    slab_simulate (solver1d.simulate) integrates it with RK4, under the
+    bar's cadence and failure contract: floor(t_end/output_interval)+1
+    snapshots including t = 0, each passing SlabState.validate; any
+    failure, an RK4 stage state that _SlabRhs.check rejects included,
+    raises solver1d.IntegrationError with the partial trajectory as
+    `partial`."""
 
     params: SlabParams
     length: float
@@ -432,11 +439,10 @@ class SlabRunSetup:
     t_end: float
     output_interval: float
     ends: str = "periodic"
+    integrator = "rk4"      # a class constant, not a field
 
     def __post_init__(self):
-        _check_positive(self)
-        _step_count(self.t_end, self.dt)
-        _snapshot_count(self.t_end, self.output_interval)
+        _check_times(self)
         Grid1D(self.length, self.nx)        # checks length and nx
         self.state0.validate()
         want = _grid_points(self.length, self.nx, self.ends).size
@@ -448,22 +454,11 @@ class SlabRunSetup:
     def dx(self) -> float:
         return self.length / self.nx
 
-
-def slab_simulate(setup: SlabRunSetup) -> Trajectory:
-    """RK4 time integration of the reduced model.
-
-    Runs on the 1D solver's driver (solver1d._drive), so the cadence and
-    failure contract are the same: floor(t_end/output_interval)+1
-    snapshots including t = 0, each passing SlabState.validate; any
-    failure, an RK4 stage state that check rejects included, raises
-    solver1d.IntegrationError with the partial trajectory as `partial`.
-    Pinned-insulated runs start from setup.state0 with U and V set to zero
-    at both ends.
-    """
-    state = setup.state0.copy()
-    if not _periodic(setup.ends):
-        # pinned ends: U and V are zero there, as the odd ghost nodes assume
-        for a in (state.U1, state.U2, state.V1, state.V2):
-            a[[0, -1]] = 0.0
-    f = _SlabRhs(setup.params, setup.dx, setup.ends, state.U1.size)
-    return _drive(setup, state, f, _stepper(f, "rk4"))
+    def start(self):
+        """(_SlabRhs, state at the start): a copy of state0, with U and V
+        set to zero at pinned ends, as the odd ghost nodes assume."""
+        state = self.state0.copy()
+        if not _periodic(self.ends):
+            for a in (state.U1, state.U2, state.V1, state.V2):
+                a[[0, -1]] = 0.0
+        return _SlabRhs(self.params, self.dx, self.ends, state.U1.size), state

@@ -145,6 +145,10 @@ class BoundarySpec:
             raise ValueError("beta must be non-negative")
         if self.thermal == "fixed_theta" and self.fixed_value <= 0:
             raise ValueError("fixed_value must be positive")
+        if (self.thermal == "controlled_flux" and self.beta > 0
+                and not callable(self.theta_ambient)
+                and not self.theta_ambient > 0):
+            raise ValueError("theta_ambient must be positive")
 
     def ambient(self, t: float) -> float:
         if callable(self.theta_ambient):
@@ -186,18 +190,20 @@ class FieldState:
 
     def validate(self, grid: Grid1D, params: MaterialParams1D):
         n = grid.nx + 1
-        for name, arr in (("u", self.u), ("v", self.v), ("theta", self.theta)):
+        if params.tau0 > 0 and self.theta_dot is None:
+            raise ValueError("theta_dot field required when tau0 > 0")
+        if params.tau0 == 0 and self.theta_dot is not None:
+            raise ValueError("theta_dot must be absent when tau0 = 0")
+        for name in ("u", "v", "theta", "theta_dot"):
+            arr = getattr(self, name)
+            if arr is None:
+                continue
             if np.asarray(arr).shape != (n,):
                 raise ValueError(f"{name} must have shape ({n},)")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite")
         if np.any(self.theta <= 0):
             raise ValueError("theta must be positive everywhere")
-        if params.tau0 > 0:
-            if self.theta_dot is None:
-                raise ValueError("theta_dot field required when tau0 > 0")
-            if np.asarray(self.theta_dot).shape != (n,):
-                raise ValueError(f"theta_dot must have shape ({n},)")
-        elif self.theta_dot is not None:
-            raise ValueError("theta_dot must be absent when tau0 = 0")
 
     def copy(self) -> "FieldState":
         return FieldState(self.t, self.u.copy(), self.v.copy(),
@@ -880,8 +886,8 @@ def step(state: FieldState, dt: float, grid: Grid1D, params: MaterialParams1D,
     IntegrationError (carrying the failure time) on non-finite values or
     a state the right-hand side rejects.
     """
-    f, state = _start(RunSetup(grid, params, bcs, forcing, state, dt, dt, dt,
-                               integrator, gamma_sign))
+    f, state = RunSetup(grid, params, bcs, forcing, state, dt, dt, dt,
+                        integrator, gamma_sign).start()
     z1 = _stepper(f, integrator)(f.pack(state), state.t, dt)
     _accept(z1, state.t + dt, f.check)
     return f.unpack(z1, state.t + dt)
@@ -895,19 +901,20 @@ _MAX_SNAPSHOTS = 10**6
 
 
 def _step_count(t_end: float, dt: float) -> int:
-    """ceil(t_end/dt), the number of steps _drive takes; the 1e-9 absorbs
-    round-off in a ratio meant to be whole.  Both times are positive; a
-    ratio that overflows, or a count above _MAX_STEPS, is a ValueError."""
+    """ceil(t_end/dt), and at least 1, the number of steps simulate takes;
+    the 1e-9 absorbs round-off in a ratio meant to be whole.  Both times
+    are positive; a ratio that overflows, or a count above _MAX_STEPS, is
+    a ValueError."""
     ratio = t_end / dt - 1e-9
     if ratio == np.inf:
         raise ValueError("t_end/dt must be a finite step count")
     if ratio > _MAX_STEPS:
         raise ValueError(f"t_end/dt asks for more than {_MAX_STEPS} steps")
-    return int(np.ceil(ratio))
+    return max(int(np.ceil(ratio)), 1)
 
 
 def _snapshot_count(t_end: float, output_interval: float) -> int:
-    """floor(t_end/output_interval) + 1, the number of snapshots _drive
+    """floor(t_end/output_interval) + 1, the number of snapshots simulate
     stores (t = 0 and one per multiple of output_interval); the 1e-9
     absorbs round-off in a ratio meant to be whole.  Both times are
     positive; a count above _MAX_SNAPSHOTS is a ValueError."""
@@ -918,22 +925,88 @@ def _snapshot_count(t_end: float, output_interval: float) -> int:
     return int(ratio) + 1
 
 
-def _drive(setup, state, f, advance) -> Trajectory:
-    """Advance state from t = 0 to setup.t_end in fixed steps of setup.dt
-    (the last one shortened to end on t_end) and return the Trajectory of
-    setup, which keeps f as its rhs.
+def _check_times(setup):
+    """ValueError unless setup's dt, t_end and output_interval are positive
+    and finite and ask for at most _MAX_STEPS steps and _MAX_SNAPSHOTS
+    snapshots."""
+    _check_positive(setup)
+    _step_count(setup.t_end, setup.dt)
+    _snapshot_count(setup.t_end, setup.output_interval)
 
-    The model's right-hand side f supplies pack(state) -> z, unpack(z, t)
-    that builds a state with its own copy of z's values, check(z, t) that
-    raises IntegrationError(t) on a state the model rejects, and
-    diag(state), the diagnostics row; advance(z, t, dt) takes one step.
-    Every step's z is checked; a state is built only when it is stored.
+
+@dataclass
+class RunSetup:
+    """Everything simulate() needs for one run."""
+
+    grid: Grid1D
+    params: MaterialParams1D
+    bcs: BoundarySpec
+    forcing: Forcing
+    state0: FieldState
+    dt: float
+    t_end: float
+    output_interval: float
+    integrator: str = "rk4"
+    gamma_sign: float = 1.0
+
+    def __post_init__(self):
+        _check_times(self)
+        if self.integrator not in INTEGRATORS:
+            raise ValueError(f"integrator must be one of {INTEGRATORS}")
+        if self.integrator != "rk4":
+            _lapack()   # load LAPACK at set-up, not inside simulate()
+
+    def start(self):
+        """(_Rhs, state at the start): a copy of state0 with the end values
+        the boundary conditions hold, validated."""
+        state = _clamp_ends(self.state0.copy(), self.bcs)
+        state.validate(self.grid, self.params)
+        return (_Rhs(self.grid, self.params, self.bcs, self.forcing,
+                     self.gamma_sign), state)
+
+
+@dataclass
+class Trajectory:
+    """The output of a run of either model: its setup (RunSetup or
+    slab.SlabRunSetup), the right-hand side it stepped with (_Rhs or
+    slab._SlabRhs, which the artifact writers read), the stored snapshots,
+    one diagnostics row each (the model's diag), and the abort status."""
+
+    setup: object
+    rhs: object
+    snapshots: list = field(default_factory=list)
+    diagnostics: list = field(default_factory=list)
+    failed: bool = False
+    failure: str = ""
+
+    def times(self) -> np.ndarray:
+        return np.array([s.t for s in self.snapshots])
+
+
+def simulate(setup) -> Trajectory:
+    """Run either model from t = 0 to setup.t_end in fixed steps of
+    setup.dt, the last one shortened to end on t_end, and return the
+    Trajectory of setup, which keeps the right-hand side f as its rhs.
+    slab.slab_simulate is this function.
+
+    setup is a RunSetup or a slab.SlabRunSetup.  setup.start() gives f and
+    the start state, whose t must be 0 (ValueError).  f supplies
+    pack(state) -> z, unpack(z, t) that builds a state with its own copy
+    of z's values, check(z, t) that raises IntegrationError(t) on a state
+    the model rejects, and diag(state), the diagnostics row;
+    setup.integrator selects the step.  At least one step is taken, and
+    every step's z is checked; a state is built only when it is stored.
     The state at t = 0 is stored, then for each multiple of
-    output_interval the state at the first step time reaching it (repeated
-    when output_interval < dt).  A non-finite or rejected step is not
-    stored: IntegrationError at its end time, with the trajectory (failed,
-    failure set) attached as `partial`.
+    output_interval the state at the first step time reaching it
+    (repeated when output_interval < dt): floor(t_end/output_interval)+1
+    snapshots.  A non-finite or rejected step is not stored:
+    IntegrationError at its end time, with the trajectory (failed, failure
+    set) attached as `partial`.
     """
+    f, state = setup.start()
+    if state.t != 0:
+        raise ValueError(f"a run starts at t = 0; state0.t is {state.t!r}")
+    advance = _stepper(f, setup.integrator)
     traj = Trajectory(setup, f)
     n_snap = _snapshot_count(setup.t_end, setup.output_interval)
     snap_times = np.arange(n_snap) * setup.output_interval
@@ -961,67 +1034,3 @@ def _drive(setup, state, f, advance) -> Trajectory:
         err.partial = traj
         raise
     return traj
-
-
-@dataclass
-class RunSetup:
-    """Everything simulate() needs for one run."""
-
-    grid: Grid1D
-    params: MaterialParams1D
-    bcs: BoundarySpec
-    forcing: Forcing
-    state0: FieldState
-    dt: float
-    t_end: float
-    output_interval: float
-    integrator: str = "rk4"
-    gamma_sign: float = 1.0
-
-    def __post_init__(self):
-        _check_positive(self)
-        _step_count(self.t_end, self.dt)
-        _snapshot_count(self.t_end, self.output_interval)
-        if self.integrator not in INTEGRATORS:
-            raise ValueError(f"integrator must be one of {INTEGRATORS}")
-        if self.integrator != "rk4":
-            _lapack()   # load LAPACK at set-up, not inside simulate()
-
-
-@dataclass
-class Trajectory:
-    """The output of a run of either model: its setup (RunSetup or
-    slab.SlabRunSetup), the right-hand side it stepped with (_Rhs or
-    slab._SlabRhs, which the artifact writers read), the stored snapshots,
-    one diagnostics row each (the model's diag), and the abort status."""
-
-    setup: object
-    rhs: object
-    snapshots: list = field(default_factory=list)
-    diagnostics: list = field(default_factory=list)
-    failed: bool = False
-    failure: str = ""
-
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.snapshots])
-
-
-def simulate(setup: RunSetup) -> Trajectory:
-    """Run to t_end, emitting floor(t_end/output_interval)+1 snapshots.
-
-    Snapshots are the states at the first step time reaching each multiple
-    of output_interval (the state at t=0 included).  On integration failure
-    the partial trajectory is attached to the raised IntegrationError as
-    its `partial` attribute.
-    """
-    f, state = _start(setup)
-    return _drive(setup, state, f, _stepper(f, setup.integrator))
-
-
-def _start(setup: RunSetup):
-    """(_Rhs, state at the start) of setup: a copy of state0 with the end
-    values the boundary conditions hold, validated."""
-    state = _clamp_ends(setup.state0.copy(), setup.bcs)
-    state.validate(setup.grid, setup.params)
-    return (_Rhs(setup.grid, setup.params, setup.bcs, setup.forcing,
-                 setup.gamma_sign), state)

@@ -305,7 +305,7 @@ FULL_1D = st.builds(
                           positive=[f.name for f in fields(MaterialParams1D)],
                           gamma=NUM),
     bcs=dataclass_of(BoundarySpec, "full_1d", ("bcs",),
-                     positive=["beta", "fixed_value"],
+                     positive=["beta", "fixed_value", "theta_ambient"],
                      mech=st.sampled_from(MECH_KINDS),
                      thermal=st.sampled_from(THERMAL_KINDS)),
     forcing=dataclass_of(ForcingSpec, "full_1d", ("forcing",)),
@@ -617,6 +617,14 @@ ABORTS = {"full_1d": ["forcing.heat=const", "forcing.heat_value=-1e6"],
           "slab": ["time.dt=0.01"]}
 
 
+# a dt more than 10^9 times t_end, with two output intervals to t_end (an
+# implicit bar step: RK4 is refused above the stable step)
+FAR_STEP = {"full_1d": ["integrator.kind=implicit_euler", "time.dt=1e10",
+                        "time.t_end=1", "time.output_interval=0.5"],
+            "slab": ["time.dt=1e6", "time.t_end=0.0001",
+                     "time.output_interval=0.00005"]}
+
+
 def _setup(model, overrides):
     return _read_config_text(MODELS[model], overrides).resolve()
 
@@ -675,6 +683,23 @@ class TestDriverContract:
         assert partial.times()[-1] < err.value.time
         for state in partial.snapshots:
             _check_state(setup, state)
+
+    def test_start_state_must_be_at_t_zero(self, model):
+        """Stepping and forcing start at t = 0, so a start state that claims
+        another time is refused rather than stored as snapshot 0."""
+        setup = _setup(model, [])
+        setup.state0.t = 5.0
+        with pytest.raises(ValueError, match="state0.t is 5.0"):
+            _simulate(setup)
+
+    def test_step_far_above_t_end_is_one_step(self, model):
+        """A dt more than 10^9 times t_end still takes one step, onto
+        t_end, and stores every snapshot the cadence promises."""
+        traj = _simulate(_setup(model, FAR_STEP[model]))
+        t_end = traj.setup.t_end
+        assert traj.setup.dt > 1e9 * t_end
+        assert traj.times().tolist() == [0.0, t_end, t_end]
+        assert len(traj.diagnostics) == 3
 
 
 @pytest.mark.parametrize("model", list(MODELS))
@@ -873,6 +898,21 @@ class TestMain:
                      "--override", override]) == 1
         err = capsys.readouterr().err
         assert "config error:" in err and message in err
+        assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("ambient", ["-50", "0"])
+    def test_non_positive_ambient_is_config_error(self, tmp_path, capsys,
+                                                  ambient):
+        """A controlled-flux end with beta > 0 relaxes toward
+        theta_ambient, so a non-positive one is refused when read (it used
+        to end as an implicit-step abort)."""
+        out = tmp_path / "o"
+        assert main(["run", "--preset", "experiment2", "--out", str(out),
+                     "--override", "bcs.beta=5",
+                     "--override", f"bcs.theta_ambient={ambient}",
+                     "--override", "time.t_end=2"]) == 1
+        err = capsys.readouterr().err
+        assert "config error: [bcs] theta_ambient must be positive" in err
         assert "Traceback" not in err and not out.exists()
 
     def test_step_count_overflow_of_a_long_run_is_config_error(self,

@@ -163,6 +163,32 @@ class TestRhs:
         with pytest.raises(IntegrationError, match="non-positive temperature"):
             rhs(st, g, P, BoundarySpec(), Forcing.none())
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["u", "v", "theta", "theta_dot"])
+    def test_nonfinite_field_is_value_error(self, name, value):
+        """A non-finite field is refused as input, by validate and so by
+        rhs, compute_stress and simulate, instead of surfacing later as a
+        stability abort of the integrator."""
+        g = Grid1D(1.0, 8)
+        p = P.with_(tau0=1e-3)
+        st = make_state(g, theta=200.0)
+        st.theta_dot = np.zeros(g.nx + 1)
+        getattr(st, name)[3] = value
+        match = f"{name} must be finite"
+        with pytest.raises(ValueError, match=match):
+            st.validate(g, p)
+        # rhs reports a non-positive temperature as an abort
+        negative = name == "theta" and value < 0
+        with pytest.raises(IntegrationError if negative else ValueError,
+                           match="non-positive temperature" if negative
+                           else match):
+            rhs(st, g, p, BoundarySpec(), Forcing.none())
+        with pytest.raises(ValueError, match=match):
+            compute_stress(st, g, p)
+        with pytest.raises(ValueError, match=match):
+            simulate(RunSetup(g, p, BoundarySpec(), Forcing.none(), st,
+                              1e-4, 1e-3, 1e-3, "implicit_euler"))
+
     def test_nu_degenerate_coupling_aborts(self):
         g = Grid1D(1.0, 8)
         p = P.with_(nu=1e9)
@@ -987,6 +1013,46 @@ class TestBoundaryConditions:
             BoundarySpec("pinned", "fixed_theta", fixed_value=value)
         BoundarySpec("pinned", "insulated", fixed_value=value)
 
+    @pytest.mark.parametrize("value", [0.0, -50.0])
+    def test_controlled_flux_needs_a_positive_ambient(self, value):
+        """A controlled-flux end with beta > 0 relaxes toward theta_ambient,
+        which must then be positive; without the Robin term (beta = 0, or
+        another thermal kind) it is unused, and a callable is the
+        caller's."""
+        with pytest.raises(ValueError, match="theta_ambient must be positive"):
+            BoundarySpec("pinned", "controlled_flux", beta=5.0,
+                         theta_ambient=value)
+        BoundarySpec("pinned", "controlled_flux", beta=0.0,
+                     theta_ambient=value)
+        BoundarySpec("pinned", "insulated", beta=5.0, theta_ambient=value)
+        BoundarySpec("pinned", "controlled_flux", beta=5.0,
+                     theta_ambient=lambda t: value)
+
+    def test_start_sets_the_held_end_values(self):
+        """A RunSetup built in Python may leave its ends free: the run
+        starts from a copy of state0 with u = v = 0 at pinned ends and theta
+        = fixed_value at fixed_theta ends, holds them there, and leaves the
+        caller's state0 as it was."""
+        g = Grid1D(1.0, 16)
+        x = g.nodes()
+        st = FieldState(0.0, 1e-6 + 1e-3 * np.sin(np.pi * x),
+                        1e-4 * np.cos(np.pi * x),
+                        260.0 + 20.0 * np.sin(np.pi * x))
+        st.u[[0, -1]] = 1e-6
+        before = st.copy()
+        bcs = BoundarySpec("pinned", "fixed_theta", fixed_value=250.0)
+        traj = simulate(RunSetup(g, P, bcs, Forcing.none(), st, 1e-4, 0.01,
+                                 0.002))
+        assert len(traj.snapshots) == 6
+        for s in traj.snapshots:
+            assert s.u[0] == s.u[-1] == s.v[0] == s.v[-1] == 0.0
+            assert s.theta[0] == s.theta[-1] == 250.0
+        assert (traj.snapshots[-1].u != traj.snapshots[0].u).any()
+        assert traj.setup.state0 is st and st.t == 0.0
+        for name in ("u", "v", "theta"):
+            np.testing.assert_array_equal(getattr(st, name),
+                                          getattr(before, name))
+
     def test_mixed_mech(self):
         g = Grid1D(1.0, 16)
         st = make_state(g, u=lambda x: 1e-3 * np.sin(np.pi * x), theta=300.0)
@@ -1001,8 +1067,10 @@ class TestBoundaryConditions:
 class TestSimulate:
     def test_step_count_ceiling_is_inclusive(self):
         """_step_count returns ceil(t_end/dt) up to 10^9 steps and refuses
-        more, so an enormous finite count ends before any stepping."""
+        more, so an enormous finite count ends before any stepping; a dt
+        far above t_end is still one step."""
         assert solver1d._step_count(1e9, 1.0) == 10**9
+        assert solver1d._step_count(1.0, 1e10) == 1
         for t_end, dt in ((1e9 + 1.0, 1.0), (0.24, 1e-300)):
             with pytest.raises(ValueError, match="more than 1000000000 steps"):
                 solver1d._step_count(t_end, dt)
