@@ -309,14 +309,17 @@ class SimConfig:
         """ConfigError where the config is outside its model's validity;
         returns self.  Two checks need the initial state's physics and are
         resolve's, not validate's: a full_1d RK4 dt above the initial
-        stable step, and a start where C_v - nu <eps_dot> is not positive."""
+        stable step, and a start where C_v - nu <eps_dot> is not positive.
+        An implicit full_1d config builds its RunSetup here, which loads
+        LAPACK."""
         self._checked()
         return self
 
     def _checked(self):
-        """The checks of validate.  A full_1d config returns the grid, mms
-        case (None without mms kinds) and initial state that resolve runs
-        from; a slab config returns its SlabRunSetup."""
+        """The checks of validate; returns the setup they build, a
+        RunSetup for full_1d (its state0 without the theta_dot that
+        resolve sets) or a SlabRunSetup.  A slab config ignores the bar's
+        fields, [phases] and [initial] among them."""
         for section, key, path in _schema(self.model):
             allowed = _KINDS[self.model].get(path)
             if allowed and _lookup(self, path) not in allowed:
@@ -327,6 +330,26 @@ class SimConfig:
             solver1d._check_times(self)
         with _reraised("[grid]"):
             grid = Grid1D(self.length, self.nx)
+        if self.model == "slab":
+            dx, min_dx = self.length / self.nx, self.slab_material.min_dx
+            if dx <= min_dx:
+                raise ConfigError(
+                    f"[grid] dx = length/nx = {dx:.6g} cm must exceed the "
+                    f"slab's long-wave bound pi b sqrt(c_disp/c_wave) = "
+                    f"{min_dx:.6g} cm")
+            with _reraised("[output] reconstruct_y:"):
+                _check_y(self.reconstruct_y)
+            x = _grid_points(self.length, self.nx, self.ends)
+            # the five field specs, in the order of SlabState's fields; one
+            # that overflows is refused by SlabState.validate, by name
+            with np.errstate(over="ignore", invalid="ignore"):
+                state0 = SlabState(0.0, *(
+                    _SLAB_FIELD[s.kind](s, x, self.length)
+                    for s in vars(self.slab_initial).values()))
+            with _reraised("[slab_initial]"):
+                return SlabRunSetup(self.slab_material, self.length, self.nx,
+                                    state0, self.dt, self.t_end,
+                                    self.output_interval, self.ends)
         if self.austenite_band <= 0 or self.martensite_band < self.austenite_band:
             raise ConfigError("[phases] bands must satisfy 0 < austenite_band "
                               "<= martensite_band")
@@ -339,25 +362,6 @@ class SimConfig:
             if not all(a < b for a, b in zip(xs, xs[1:])):
                 raise ConfigError(f"[initial] u_breakpoints x must strictly "
                                   f"increase, got {', '.join(map(str, xs))}")
-        if self.model == "slab":
-            if self.needs_mms:
-                raise ConfigError("mms forcing applies to the full_1d model only")
-            dx, min_dx = self.length / self.nx, self.slab_material.min_dx
-            if dx <= min_dx:
-                raise ConfigError(
-                    f"[grid] dx = length/nx = {dx:.6g} cm must exceed the "
-                    f"slab's long-wave bound pi b sqrt(c_disp/c_wave) = "
-                    f"{min_dx:.6g} cm")
-            with _reraised("[output] reconstruct_y:"):
-                _check_y(self.reconstruct_y)
-            x = _grid_points(self.length, self.nx, self.ends)
-            # the five field specs, in the order of SlabState's fields
-            state0 = SlabState(0.0, *(_SLAB_FIELD[s.kind](s, x, self.length)
-                                      for s in vars(self.slab_initial).values()))
-            with _reraised("[slab_initial]"):
-                return SlabRunSetup(self.slab_material, self.length, self.nx,
-                                    state0, self.dt, self.t_end,
-                                    self.output_interval, self.ends)
         if 0 < self.material.tau0 < _TAU0_FLOOR:
             raise ConfigError(
                 f"[material] tau0 = {self.material.tau0!r}: a positive "
@@ -365,7 +369,9 @@ class SimConfig:
                 f"Fourier conduction)")
         with _reraised("[material]"):
             case = self._mms_case() if self.needs_mms else None
-        return grid, case, self._initial_state(grid, case)
+        return RunSetup(grid, self.material, self.bcs, self._forcing(case),
+                        self._initial_state(grid, case), self.dt, self.t_end,
+                        self.output_interval, self.integrator)
 
     # -- resolution to runnable setups --------------------------------------
 
@@ -385,12 +391,20 @@ class SimConfig:
 
     def _initial_state(self, grid: Grid1D, case) -> FieldState:
         """The state at t = 0 on grid with the end values the boundary
-        conditions hold; ConfigError where theta or k is not positive."""
+        conditions hold; ConfigError where a field is not finite or theta
+        or k is not positive."""
         x = grid.nodes()
         ini = self.initial
-        u, v, theta = (table[getattr(ini, key)](ini, x, grid.length, case)
-                       for key, table in _INITIAL.items())
+        # a field that overflows is refused below, by name
+        with np.errstate(over="ignore", invalid="ignore"):
+            u, v, theta = (table[getattr(ini, key)](ini, x, grid.length, case)
+                           for key, table in _INITIAL.items())
         state = solver1d._clamp_ends(FieldState(0.0, u, v, theta), self.bcs)
+        for key in _INITIAL:
+            name = _without_kind(key)
+            if not np.isfinite(getattr(state, name)).all():
+                raise ConfigError(f"[initial] {name} = {getattr(ini, key)} is "
+                                  f"not finite at every node")
         if not (state.theta > 0).all():
             raise ConfigError(
                 f"[initial] theta = {ini.theta_kind} falls to "
@@ -405,41 +419,38 @@ class SimConfig:
         return state
 
     def resolve(self):
-        """Build the runnable setup (RunSetup or SlabRunSetup).
+        """The runnable setup that validate builds (RunSetup or
+        SlabRunSetup), with a full_1d start's theta_dot set for tau0 > 0.
 
         A full_1d RK4 run whose dt exceeds solver1d.stable_dt of the
         initial state is a ConfigError: it could only overflow.  So is an
         initial state where C_v - nu <eps_dot> is not positive: the tau0 = 0
         heat equation does not give theta_t there."""
-        checked = self._checked()
+        setup = self._checked()
         if self.model == "slab":
-            return checked
-        grid, case, state0 = checked
-        forcing = self._forcing(case)
+            return setup
         consistent = (self.material.tau0 > 0
                       and self.initial.theta_dot_kind == "consistent")
         if self.material.nu != 0.0 or consistent:
             # the tau0 = 0 energy equation at t = 0 gives theta_t only where
             # C_v - nu <eps_dot> > 0; its theta_t is the consistent theta_dot
             try:
-                theta_t = solver1d.rhs(state0, grid,
+                theta_t = solver1d.rhs(setup.state0, setup.grid,
                                        self.material.with_(tau0=0.0),
-                                       self.bcs, forcing, 0.0).theta
+                                       self.bcs, setup.forcing, 0.0).theta
             except IntegrationError as exc:
                 raise ConfigError(
                     f"[initial] the initial state has {exc.reason}") from exc
         if self.material.tau0 > 0:
-            state0.theta_dot = (theta_t if consistent
-                                else np.zeros_like(state0.theta))
+            setup.state0.theta_dot = (theta_t if consistent
+                                      else np.zeros_like(setup.state0.theta))
         if self.integrator == "rk4":
-            bound = solver1d.stable_dt(state0, grid, self.material)
+            bound = solver1d.stable_dt(setup.state0, setup.grid, self.material)
             if self.dt > bound:
                 raise ConfigError(
                     f"[time] dt = {self.dt:.6g} ms exceeds the RK4 stable "
                     f"step {bound:.6g} ms of the initial state")
-        return RunSetup(grid, self.material, self.bcs, forcing, state0,
-                        self.dt, self.t_end, self.output_interval,
-                        self.integrator)
+        return setup
 
 
 _DEFAULTS = SimConfig()
@@ -508,7 +519,10 @@ def write_config(config: SimConfig) -> str:
 
 
 def _read_config_text(text: str, overrides=()) -> SimConfig:
-    """Parse INI text, apply `section.key=value` overrides, and validate."""
+    """Parse INI text and apply `section.key=value` overrides.  The
+    sections and keys must be those of the config's model and every value
+    must parse, but the config is not validated: load_config validates,
+    and `sma run` checks it once, in resolve."""
     if not text.strip():
         raise ConfigError("empty config; required keys: " + ", ".join(
             f"[{section}] {key}" for section, key in _REQUIRED))
@@ -555,7 +569,7 @@ def _read_config_text(text: str, overrides=()) -> SimConfig:
     for section, values in updates.items():
         with _reraised(f"[{section}]"):
             config = _with(config, values)
-    return config.validate()
+    return config
 
 
 def _with(obj, values: dict):
@@ -579,7 +593,7 @@ def _read_file(path: str) -> str:
 def load_config(path: str) -> SimConfig:
     """Read and validate an INI config file (SimConfig.validate; the RK4
     stable-step and nu-degenerate start checks come with resolve)."""
-    return _read_config_text(_read_file(path))
+    return _read_config_text(_read_file(path)).validate()
 
 
 # ---------------------------------------------------------------------------

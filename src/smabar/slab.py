@@ -197,6 +197,9 @@ class SlabState:
         for name in ("U2", "V1", "V2", "Th"):
             if getattr(self, name).size != n:
                 raise ValueError("slab state arrays must have equal length")
+        for name in ("U1", "U2", "V1", "V2"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         _check_theta(self.Th)
         return self
 

@@ -214,7 +214,7 @@ class TestConfigIO:
     def test_slab_out_of_validity_rejected(self, old, new):
         _read_config_text(SLAB)
         with pytest.raises(ConfigError):
-            _read_config_text(SLAB.replace(old, new))
+            _read_config_text(SLAB.replace(old, new)).validate()
 
     def test_slab_start_below_the_floor_rejected(self):
         """load_config and validate refuse a ThetaPrime start that resolve
@@ -223,7 +223,8 @@ class TestConfigIO:
                    r"-300 K")
         cfg = _read_config_text(SLAB)
         with pytest.raises(ConfigError, match=message):
-            _read_config_text(SLAB, ["slab_initial.theta_prime_value=-400"])
+            _read_config_text(SLAB,
+                              ["slab_initial.theta_prime_value=-400"]).validate()
         start = replace(cfg.slab_initial, theta_prime=SlabFieldInit(
             "sine", -100.0, 250.0, 1))
         with pytest.raises(ConfigError, match=message):
@@ -247,6 +248,11 @@ class TestConfigIO:
     def test_percent_sign_is_config_error(self):
         with pytest.raises(ConfigError, match="length"):
             _read_config_text(MINIMAL.replace("length = 1.0", "length = 1%"))
+
+    def test_unserialisable_value_named(self):
+        with pytest.raises(ConfigError,
+                           match=r"\[time\] dt: cannot serialise 'fast'"):
+            write_config(replace(preset("mms"), dt="fast"))
 
     def test_breakpoint_parse_error(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -298,6 +304,12 @@ def mms_regime(cfg):
         **dict.fromkeys(ZERO_RATES, 0.0)))
 
 
+def _finite_slopes(breakpoints):
+    x, u = np.transpose(breakpoints)
+    with np.errstate(over="ignore"):
+        return np.isfinite(np.diff(u) / np.diff(x)).all()
+
+
 FULL_1D = st.builds(
     SimConfig, **common_fields("full_1d"), length=POS,
     # gamma of either sign: a negative one flips the u_xxxx term
@@ -312,10 +324,12 @@ FULL_1D = st.builds(
     # initial temperatures stay positive (theta_value > |theta_amplitude|,
     # and likewise for the mms theta)
     initial=dataclass_of(InitialSpec, "full_1d", ("initial",),
-                         # x strictly increasing, as validate demands
+                         # x strictly increasing and slopes finite (so the
+                         # interpolated u is), as validate demands
                          u_breakpoints=st.lists(
                              st.tuples(NUM, NUM), min_size=2, max_size=5,
-                             unique_by=lambda p: p[0]).map(sorted).map(tuple),
+                             unique_by=lambda p: p[0]).map(sorted).map(tuple)
+                         .filter(_finite_slopes),
                          theta_value=st.floats(1e3, 1e12),
                          theta_amplitude=st.floats(-999.0, 999.0)),
     mms=dataclass_of(MmsSpec, "full_1d", ("mms",),
@@ -882,6 +896,12 @@ class TestMain:
          "[time] t_end/dt asks for more than 1000000000 steps"),
         ("slab", "time.dt=1e-300",
          "[time] t_end/dt asks for more than 1000000000 steps"),
+        ("conservation", "model.kind=bar",
+         "[model] kind must be one of full_1d, slab"),
+        ("conservation", "phases.austenite_band=0",
+         "[phases] bands must satisfy 0 < austenite_band <= martensite_band"),
+        ("conservation", "initial.u_breakpoints=0:0",
+         "[initial] u_breakpoints needs at least two x:value pairs"),
     ], ids=["mms_mu", "mms_gamma", "bar_snapshots", "slab_snapshots",
             "snapshot_ratio_overflow",
             "tau0_below_floor", "tau0_subnormal", "conductivity_zero",
@@ -889,7 +909,8 @@ class TestMain:
             "breakpoints_descending", "breakpoints_repeated",
             "bar_step_count_overflow", "slab_step_count_overflow",
             "slab_kappa_negative", "slab_c_bend_negative",
-            "bar_step_ceiling", "slab_step_ceiling"])
+            "bar_step_ceiling", "slab_step_ceiling", "unknown_model_kind",
+            "phase_bands", "single_breakpoint"])
     def test_outside_validity_is_config_error(self, tmp_path, capsys, run,
                                               override, message):
         source = _source(run, str(tmp_path))
@@ -899,6 +920,63 @@ class TestMain:
         err = capsys.readouterr().err
         assert "config error:" in err and message in err
         assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("run, overrides, message", [
+        ("slab", ["slab_initial.u1=sine", "slab_initial.u1_value=1.7e308",
+                  "slab_initial.u1_amplitude=1e308"],
+         "config error: [slab_initial] U1 must be finite"),
+        ("conservation", ["initial.theta=cosine",
+                          "initial.theta_value=1.7e308",
+                          "initial.theta_amplitude=1e308"],
+         "config error: [initial] theta = cosine is not finite at every "
+         "node"),
+    ], ids=["slab", "bar"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_start_is_config_error(self, tmp_path, capsys, run,
+                                              overrides, message):
+        """Finite parameters whose start field overflows are refused by
+        the field's name before anything is written, not stored as
+        snapshot 0 or reported as a conductivity of nan, and without a
+        RuntimeWarning."""
+        out = tmp_path / "o"
+        argv = ["run", *_source(run, str(tmp_path)), "--out", str(out)]
+        assert main(argv + [a for o in overrides
+                            for a in ("--override", o)]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_missing_required_key_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "no_dt.ini"
+        path.write_text(MINIMAL.replace("dt = 0.001\n", ""))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error: missing required keys: [time] dt" in err
+        assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("run, overrides", [
+        ("experiment1", ["time.t_end=0.0014", "time.output_interval=0.0007"]),
+        ("mms", ["time.t_end=0.0005"]),
+        ("slab", ["time.t_end=0.0002"]),
+    ])
+    def test_run_checks_its_config_once(self, tmp_path, capsys, monkeypatch,
+                                        run, overrides):
+        """sma run reads a config without validating it and builds the
+        run's setup once, in resolve."""
+        calls = []
+        checked = SimConfig._checked
+
+        def counting(self):
+            calls.append(self.model)
+            return checked(self)
+
+        monkeypatch.setattr(SimConfig, "_checked", counting)
+        argv = ["run", *_source(run, str(tmp_path)),
+                "--out", str(tmp_path / "o")]
+        assert main(argv + [a for o in overrides
+                            for a in ("--override", o)]) == 0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("ambient", ["-50", "0"])
     def test_non_positive_ambient_is_config_error(self, tmp_path, capsys,

@@ -192,6 +192,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             st.validate()
 
+    @pytest.mark.parametrize("name", ["U1", "U2", "V1", "V2"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_state_amplitudes_must_be_finite(self, name, bad):
+        """A non-finite U or V is refused by name, so a run never stores
+        one as snapshot 0."""
+        st = uniform_state()
+        getattr(st, name)[5] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            st.validate()
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SlabRunSetup(P, L, NX, st, 1e-4, 1e-3, 1e-3)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -300.0])
     def test_state_theta_must_be_finite_and_above_floor(self, bad):
         st = uniform_state()
