@@ -319,19 +319,19 @@ class SimConfig:
         """The checks of validate; returns the setup they build, a
         RunSetup for full_1d (its state0 without the theta_dot that
         resolve sets) or a SlabRunSetup.  A slab config ignores the bar's
-        fields, [phases] and [initial] among them."""
+        fields, [phases] and [initial] among them.  The setup checks its
+        own times as it is built, last, so a [time] error is reported only
+        when every other check has passed."""
         for section, key, path in _schema(self.model):
             allowed = _KINDS[self.model].get(path)
             if allowed and _lookup(self, path) not in allowed:
                 raise ConfigError(
                     f"[{section}] {key} = {_lookup(self, path)!r}: the "
                     f"{self.model} model accepts {', '.join(allowed)}")
-        with _reraised("[time]"):
-            solver1d._check_times(self)
         with _reraised("[grid]"):
             grid = Grid1D(self.length, self.nx)
         if self.model == "slab":
-            dx, min_dx = self.length / self.nx, self.slab_material.min_dx
+            dx, min_dx = grid.dx, self.slab_material.min_dx
             if dx <= min_dx:
                 raise ConfigError(
                     f"[grid] dx = length/nx = {dx:.6g} cm must exceed the "
@@ -346,10 +346,14 @@ class SimConfig:
                 state0 = SlabState(0.0, *(
                     _SLAB_FIELD[s.kind](s, x, self.length)
                     for s in vars(self.slab_initial).values()))
-            with _reraised("[slab_initial]"):
-                return SlabRunSetup(self.slab_material, self.length, self.nx,
-                                    state0, self.dt, self.t_end,
-                                    self.output_interval, self.ends)
+            try:
+                return SlabRunSetup(self.slab_material, grid, state0, self.dt,
+                                    self.t_end, self.output_interval,
+                                    self.ends)
+            except ValueError as exc:
+                section = ("[time]" if isinstance(exc, solver1d._TimeError)
+                           else "[slab_initial]")
+                raise ConfigError(f"{section} {exc}") from exc
         if self.austenite_band <= 0 or self.martensite_band < self.austenite_band:
             raise ConfigError("[phases] bands must satisfy 0 < austenite_band "
                               "<= martensite_band")
@@ -369,9 +373,11 @@ class SimConfig:
                 f"Fourier conduction)")
         with _reraised("[material]"):
             case = self._mms_case() if self.needs_mms else None
-        return RunSetup(grid, self.material, self.bcs, self._forcing(case),
-                        self._initial_state(grid, case), self.dt, self.t_end,
-                        self.output_interval, self.integrator)
+        forcing, state0 = self._forcing(case), self._initial_state(grid, case)
+        with _reraised("[time]"):
+            return RunSetup(grid, self.material, self.bcs, forcing, state0,
+                            self.dt, self.t_end, self.output_interval,
+                            self.integrator)
 
     # -- resolution to runnable setups --------------------------------------
 
@@ -735,7 +741,7 @@ def _write_summary(out_dir, lines, traj):
 
 def _write_slab_artifacts(out_dir, config, traj):
     setup = traj.setup
-    x = _grid_points(setup.length, setup.nx, setup.ends)
+    x = _grid_points(setup.grid.length, setup.grid.nx, setup.ends)
     _write_csv(os.path.join(out_dir, "snapshots.csv"),
                "t,x,U1,U2,V1,V2,ThetaPrime",
                [_block(st.t, x, *st.fields()) for st in traj.snapshots])

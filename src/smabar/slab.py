@@ -423,9 +423,10 @@ def _reconstruct(state: SlabState, p: SlabParams, Y,
 
 @dataclass(frozen=True)
 class SlabRunSetup:
-    """Run description; dx = length/nx.  Periodic runs carry nx points on
-    [0, length), pinned-insulated runs nx+1 points including both ends.
-    Frozen, so that its fields stay the ones __post_init__ checked.
+    """Run description on grid (a solver1d.Grid1D, which checks its length
+    and nx): periodic runs carry nx points on [0, length), pinned-insulated
+    runs nx+1 points including both ends.  Frozen, so that its fields stay
+    the ones __post_init__ checked.
 
     slab_simulate (solver1d.simulate) integrates it with RK4, under the
     bar's cadence and failure contract: floor(t_end/output_interval)+1
@@ -435,8 +436,7 @@ class SlabRunSetup:
     `partial`."""
 
     params: SlabParams
-    length: float
-    nx: int
+    grid: Grid1D
     state0: SlabState
     dt: float
     t_end: float
@@ -446,16 +446,15 @@ class SlabRunSetup:
 
     def __post_init__(self):
         _check_times(self)
-        Grid1D(self.length, self.nx)        # checks length and nx
         self.state0.validate()
-        want = _grid_points(self.length, self.nx, self.ends).size
+        want = _grid_points(self.grid.length, self.grid.nx, self.ends).size
         if self.state0.U1.size != want:
             raise ValueError(f"state arrays must have {want} points for "
                              f"{self.ends} ends")
 
     @property
     def dx(self) -> float:
-        return self.length / self.nx
+        return self.grid.dx
 
     def start(self):
         """(_SlabRhs, state at the start): a copy of state0, with U and V

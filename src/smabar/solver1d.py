@@ -30,6 +30,14 @@ required by the relaxation coupling terms is evaluated from the momentum
 right-hand side, so no stage lagging is needed.  The nu theta_dot terms are
 linear in the unknown rate and are eliminated pointwise.
 
+A right-hand side call (_Rhs) takes the midpoint terms by strided
+differences of the state, and then every node derivative of the base
+system (du/dt, the stress divergence, conduction with a constant k and
+the averaged coupling) at once, as one gather of at most five midpoint
+values and state entries per node, weighted by a table built once per
+run.  The other terms (k(theta), mu, nu, gamma, tau0) are added to that
+sum.
+
 Integrators: classical explicit RK4 (default; subject to the bound of
 `stable_dt`) and the fixed-step implicit `implicit_euler` and
 `implicit_midpoint`, solved by chord iterations on banded LU factors of a
@@ -249,15 +257,39 @@ class _Rhs:
     """Flattened-state right-hand side with interleaved [u, v, theta(, w)].
 
     z is one state of shape (n,) or a stack of B states of shape (B, n),
-    all at the same time t.  Every stencil runs along the last axis, so each
-    row of a stack goes through the floating-point operations of a single
-    call, in the same order, and gets a bit-identical derivative.  The
-    boundary branches, the ghost-temperature rule and the optional rate
-    terms (mu, nu, gamma, tau0) are resolved once, here.  forcing.heat and
-    forcing.body are evaluated at all nodes once per distinct t (a one-entry
-    memo serves consecutive calls at one time, as every residual and
-    Jacobian row of an implicit Euler step are), and an array result is
-    sliced (a scalar one serves every node as it is).
+    all at the same time t.  A call has two stages.
+
+    Midpoint stage: strided differences of z give eps, eps_dot and theta_m
+    at the nx midpoints, and from them the stress s (with mu eps_dot, and
+    with nu <theta_dot> when tau0 > 0 stores theta_dot).
+
+    Node stage: each of the n derivatives is a weighted sum of at most
+    five entries of q = [s, theta_m eps eps_dot, z], plus a forcing
+    vector.  One take over q by a (5, n) tap table, one product with a
+    (5, n) weight table and one sum over the taps give, for every row at
+    once: du = v, the stress divergence over rho (one-sided 2 s / dx at a
+    free end), and, over C_v (over tau0 C_v on the theta_dot rows when
+    tau0 > 0), the conduction with a constant k and ghost values mirrored
+    about each end (the Robin ghost of controlled_flux folded in) and the
+    coupling k1 <theta eps eps_dot>, averaged one-sided at the ends.  The
+    rows an end condition holds (u and v at a pinned end, the heat rows at
+    a fixed_theta end) have zero weights.  The forcing vector holds
+    body/rho on the v rows, heat/C_v on the heat rows and the Robin
+    ghost's ambient term.  It is built once per distinct t from
+    forcing.body and forcing.heat evaluated at all nodes (a one-entry memo
+    serves consecutive calls at one time, as every residual and Jacobian
+    row of an implicit Euler step are; a scalar forcing serves every
+    node).
+
+    Terms that are not fixed weights are then added to that sum: the
+    conduction with a k that varies with theta (its Robin ghost included),
+    the mu, nu and gamma terms, and, when tau0 > 0, the theta_dot rows'
+    -C_v theta_dot and relaxation terms.  The tables are built once, here,
+    and hold O(n) values.
+
+    Every stencil runs along the last axis, so each row of a stack goes
+    through the floating-point operations of a single call, in the same
+    order, and gets a bit-identical derivative.
     """
 
     def __init__(self, grid: Grid1D, params: MaterialParams1D,
@@ -266,14 +298,11 @@ class _Rhs:
         self.p = params
         self.bcs = bcs
         self.forcing = forcing
-        self.nf = 4 if params.tau0 > 0 else 3
+        self.nf = nf = 4 if params.tau0 > 0 else 3
         self.nn = nn = grid.nx + 1
         self.x = grid.nodes()
-        self.dxi = 1.0 / grid.dx
+        self.dxi = dxi = 1.0 / grid.dx
         self._gamma = gamma_sign * params.gamma
-        self._free_left = bcs.mech in ("stress_free", "mixed")
-        self._free_right = bcs.mech == "stress_free"
-        self._fixed_theta = bcs.thermal == "fixed_theta"
         # k0 (1 + beta_tilde theta) is exactly k0 when beta_tilde = 0
         self._k = params.k0 if params.beta_tilde == 0.0 else None
         # theta[..., _pad] is theta with a ghost value one node beyond each
@@ -287,6 +316,67 @@ class _Rhs:
                        if bcs.thermal == "controlled_flux" and bcs.beta != 0.0
                        else None)
         self._memo = (None, None)
+
+        # node-stage weights, per node: 1/rho on the v rows and 1/C_v (1 /
+        # (tau0 C_v) on the theta_dot rows when tau0 > 0) on the heat
+        # equation's rows, zero where an end condition holds the row
+        self._heat = 2 if nf == 3 else 3
+        held = np.zeros(nn, dtype=bool)       # u and v held at pinned ends
+        held[0] = bcs.mech == "pinned"
+        held[-1] = bcs.mech != "stress_free"
+        self._body_w = np.where(held, 0.0, 1.0 / params.rho)
+        self._heat_w = np.full(nn, 1.0 / (params.cv if nf == 3
+                                          else params.tau0 * params.cv))
+        if bcs.thermal == "fixed_theta":
+            self._heat_w[[0, -1]] = 0.0
+        # with a constant k the Robin ghost puts -robin theta / dx^2 in the
+        # last node's conduction and robin theta_ambient / dx^2 in the
+        # forcing vector; a k that varies is conducted by _conduction
+        kw = 0.0 if self._k is None else self._k * dxi * dxi
+        rw = (0.0 if self._k is None or self._robin is None
+              else self._robin * dxi * dxi)
+        self._ambient_w = rw * self._heat_w[-1] if rw else None
+
+        # q = [s, theta_m eps eps_dot, z]: node i reads the midpoints lo
+        # and hi on either side of it (one-sided at the ends), at q offsets
+        # 0 and nx, and its own fields at at, at + 1, ... (u, v, ...); a
+        # tap of zero weight repeats one of the row's own taps
+        nx = grid.nx
+        i = np.arange(nn)
+        lo, hi = np.maximum(i - 1, 0), np.minimum(i, nx - 1)
+        at = 2 * nx + nf * i
+        self._taps = np.empty((5, nn * nf), dtype=np.intp)
+        self._weights = np.zeros((5, nn * nf))
+        taps = self._taps.reshape(5, nn, nf)
+        weights = self._weights.reshape(5, nn, nf)
+        # du = v
+        taps[:, :, 0] = at + 1
+        weights[0, :, 0] = ~held
+        # rho dv = (s[i] - s[i-1]) / dx, one-sided 2 s / dx at free ends
+        taps[:, :, 1] = hi
+        taps[0, :, 1] = lo
+        weights[0, 1:, 1] = -dxi
+        weights[1, :-1, 1] = dxi
+        weights[0, -1, 1] *= 2.0
+        weights[1, 0, 1] *= 2.0
+        weights[:, :, 1] *= self._body_w
+        # theta_t = theta_dot when tau0 > 0
+        if nf == 4:
+            taps[:, :, 2] = at + 3
+            weights[0, :, 2] = 1.0
+        # heat: k (theta[i-1] - 2 theta[i] + theta[i+1]) / dx^2 over the
+        # ghosts, k1 (c[i-1] + c[i]) / 2 with c = theta_m eps eps_dot,
+        # one-sided at the ends
+        h = self._heat
+        ghosts = 2 * nx + nf * self._pad + 2
+        taps[:3, :, h] = ghosts[:-2], at + 2, ghosts[2:]
+        taps[3:, :, h] = nx + lo, nx + hi
+        weights[:, :, h] = np.array([[kw], [-2.0 * kw], [kw],
+                                     [0.5 * params.k1], [0.5 * params.k1]])
+        weights[3:, 0, h] = 0.0, params.k1
+        weights[3:, -1, h] = params.k1, 0.0
+        weights[1, -1, h] -= rw
+        weights[:, :, h] *= self._heat_w
 
     # -- state packing ------------------------------------------------------
 
@@ -319,25 +409,30 @@ class _Rhs:
 
     # -- physics ------------------------------------------------------------
 
-    def _forcing(self, t: float):
-        """(heat, interior body, body at either end) at time t, from a
-        one-entry memo keyed on t."""
+    def _forcing(self, t: float) -> np.ndarray:
+        """The node stage's forcing vector at time t, from a one-entry memo
+        keyed on t."""
         if self._memo[0] != t:
-            heat = self.forcing.heat(self.x, t)
-            body = self.forcing.body(self.x, t)
-            ends = ((body[1:-1], body[0], body[-1]) if np.ndim(body)
-                    else (body,) * 3)
-            self._memo = (t, (heat, *ends))
+            vec = np.zeros(self.nn * self.nf)
+            rows = vec.reshape(self.nn, self.nf)
+            rows[:, 1] = self.forcing.body(self.x, t) * self._body_w
+            rows[:, self._heat] = self.forcing.heat(self.x, t) * self._heat_w
+            if self._ambient_w is not None:
+                rows[-1, self._heat] += self._ambient_w * self.bcs.ambient(t)
+            self._memo = (t, vec)
         return self._memo[1]
 
-    def _theta_pad(self, th: np.ndarray, t: float) -> np.ndarray:
-        """theta with its ghost values prepended and appended."""
+    def _conduction(self, th: np.ndarray, t: float) -> np.ndarray:
+        """d/dx(k(theta) dtheta/dx) at the nodes, for a k that varies with
+        theta, from theta with its ghost values."""
         th_pad = th[..., self._pad]
         if self._robin is not None:
             end = th[..., -1]
-            k_end = self._k if self._k is not None else conductivity(self.p, end)
-            th_pad[..., -1] -= self._robin * (end - self.bcs.ambient(t)) / k_end
-        return th_pad
+            th_pad[..., -1] -= (self._robin * (end - self.bcs.ambient(t))
+                                / conductivity(self.p, end))
+        k_m = conductivity(self.p, 0.5 * (th_pad[..., 1:] + th_pad[..., :-1]))
+        flux = k_m * (th_pad[..., 1:] - th_pad[..., :-1]) * self.dxi
+        return (flux[..., 1:] - flux[..., :-1]) * self.dxi
 
     def _cv_n(self, deps: np.ndarray, t: float):
         """(<eps_dot>, C_v - nu <eps_dot>) at the nodes ((None, C_v) when
@@ -353,93 +448,79 @@ class _Rhs:
                 t, "degenerate nu coupling (C_v - nu eps_dot <= 0)")
         return deps_n, cv_n
 
-    def _stress_and_rates(self, Z: np.ndarray, t: float):
-        """Midpoint and node terms of the state Z = z.reshape(..., nn, nf)."""
-        p, dxi = self.p, self.dxi
+    def _stages(self, z: np.ndarray, t: float):
+        """(Z, eps, deps, th_m, s, dz): z as (..., nn, nf), the midpoint
+        terms and stress, and dz, complete but for the tau0 relaxation of
+        the theta_dot rows."""
+        p, nf, dxi = self.p, self.nf, self.dxi
+        Z = z.reshape(z.shape[:-1] + (self.nn, nf))
         rates = (Z[..., 1:, :2] - Z[..., :-1, :2]) * dxi
         eps, deps = rates[..., 0], rates[..., 1]
         th = Z[..., 2]
         th_m = 0.5 * (th[..., 1:] + th[..., :-1])
-
-        th_pad = self._theta_pad(th, t)
-        k_m = self._k
-        if k_m is None:
-            k_m = conductivity(p, 0.5 * (th_pad[..., 1:] + th_pad[..., :-1]))
-        flux = k_m * (th_pad[..., 1:] - th_pad[..., :-1]) * dxi
-        cond = (flux[..., 1:] - flux[..., :-1]) * dxi
-
-        coupling = _node_average(th_m * eps * deps)
-        g_heat = self._forcing(t)[0]
-        dd_n = _node_average(deps * deps) if p.mu != 0.0 else None
-
-        if self.nf == 3:
-            cv_n = self._cv_n(deps, t)[1]
-            heat_src = cond + p.k1 * coupling + g_heat
-            if p.mu != 0.0:
-                heat_src = heat_src + p.mu * dd_n
-            th_t = heat_src / cv_n
-            if self._fixed_theta:
-                th_t[..., 0] = th_t[..., -1] = 0.0
-        else:
-            th_t = Z[..., 3]
-
         s = _equilibrium_stress(p, th_m, eps)
         if p.mu != 0.0:
             s = s + p.mu * deps
-        if p.nu != 0.0:
-            s = s + p.nu * 0.5 * (th_t[..., 1:] + th_t[..., :-1])
-        return eps, deps, dd_n, th_m, cond, coupling, g_heat, th_t, s
+        if nf == 4 and p.nu != 0.0:
+            w = Z[..., 3]
+            s = s + p.nu * 0.5 * (w[..., 1:] + w[..., :-1])
+
+        q = np.concatenate((s, th_m * eps * deps, z), axis=-1)
+        dz = np.add.reduce(q.take(self._taps, axis=-1) * self._weights,
+                           axis=-2)
+        dz += self._forcing(t)
+        dZ = dz.reshape(Z.shape)
+        if self._k is None:
+            dZ[..., self._heat] += self._conduction(th, t) * self._heat_w
+        if p.mu != 0.0:
+            dZ[..., self._heat] += (p.mu * _node_average(deps * deps)
+                                    * self._heat_w)
+        if nf == 3 and p.nu != 0.0:
+            # C_v theta_t = ... + nu theta_t <eps_dot>, eliminated pointwise;
+            # the stress's nu <theta_t> adds its divergence to the v rows
+            heat = dZ[..., 2]
+            heat *= p.cv / self._cv_n(deps, t)[1]
+            rate = p.nu * 0.5 * (heat[..., 1:] + heat[..., :-1])
+            s = s + rate
+            taps, weights = self._taps[:2, 1::nf], self._weights[:2, 1::nf]
+            dZ[..., 1] += np.add.reduce(rate.take(taps, axis=-1) * weights,
+                                        axis=-2)
+        if p.gamma != 0.0:
+            dZ[..., 1:-1, 1] += (self._gamma / p.rho) * _fourth_difference(
+                Z[..., 0], self.grid.dx)[..., 1:-1]
+        return Z, eps, deps, th_m, s, dz
 
     def stress(self, state: FieldState) -> np.ndarray:
         """Midpoint stress of state (compute_stress)."""
-        Z = self.pack(state).reshape(self.nn, self.nf)
-        return self._stress_and_rates(Z, state.t)[-1]
+        return self._stages(self.pack(state), state.t)[4]
 
     def __call__(self, z: np.ndarray, t: float) -> np.ndarray:
-        p, dxi = self.p, self.dxi
-        Z = z.reshape(z.shape[:-1] + (self.nn, self.nf))
-        (eps, deps, dd_n, th_m, cond, coupling,
-         g_heat, th_t, s) = self._stress_and_rates(Z, t)
-        _, body_in, body_0, body_1 = self._forcing(t)
-
-        dZ = np.empty(Z.shape)
-        dZ[..., 0] = Z[..., 1]
-        accel = dZ[..., 1]
-        interior = (s[..., 1:] - s[..., :-1]) * dxi + body_in
-        if p.gamma != 0.0:
-            interior += self._gamma * _fourth_difference(Z[..., 0], self.grid.dx)[..., 1:-1]
-        np.divide(interior, p.rho, out=accel[..., 1:-1])
-        if self._free_left:
-            accel[..., 0] = (2.0 * s[..., 0] * dxi + body_0) / p.rho
-        else:                            # pinned: u and v held
-            dZ[..., 0, :2] = 0.0
-        if self._free_right:
-            accel[..., -1] = (-2.0 * s[..., -1] * dxi + body_1) / p.rho
-        else:
-            dZ[..., -1, :2] = 0.0
-        dZ[..., 2] = th_t
+        Z, eps, deps, th_m, s, dz = self._stages(z, t)
         if self.nf == 3:
-            return dZ.reshape(z.shape)
+            return dz
 
         # tau0 > 0: (theta, theta_dot) pair with pointwise elimination of
-        # the rates; strain acceleration comes from the momentum RHS.
+        # the rates; strain acceleration comes from the momentum rows.
+        p, dxi = self.p, self.dxi
         deps_n, cv_n = self._cv_n(deps, t)
+        dZ = dz.reshape(Z.shape)
         w = Z[..., 3]
+        accel = dZ[..., 1]
         edd = (accel[..., 1:] - accel[..., :-1]) * dxi
         w_m = 0.5 * (w[..., 1:] + w[..., :-1])
         relax = _node_average(w_m * eps * deps + th_m * deps * deps
                               + th_m * eps * edd)
-        numer = -p.cv * w + p.k1 * (coupling + p.tau0 * relax) + cond + g_heat
+        numer = p.k1 * p.tau0 * relax - p.cv * w
         if p.mu != 0.0:
-            numer = numer + p.mu * (dd_n + p.tau0 * _node_average(2.0 * deps * edd))
+            numer = numer + p.mu * p.tau0 * _node_average(2.0 * deps * edd)
         if p.nu != 0.0:
             edd_n = _node_average(edd)
             numer = numer + p.nu * w * (deps_n + p.tau0 * edd_n)
         w_t = dZ[..., 3]
-        np.divide(numer, p.tau0 * cv_n, out=w_t)
-        if self._fixed_theta:
-            w_t[..., 0] = w_t[..., -1] = 0.0
-        return dZ.reshape(z.shape)
+        w_t += numer * self._heat_w
+        if p.nu != 0.0:
+            w_t *= p.cv / cv_n
+        return dz
 
 
 # ---------------------------------------------------------------------------
@@ -925,13 +1006,21 @@ def _snapshot_count(t_end: float, output_interval: float) -> int:
     return int(ratio) + 1
 
 
+class _TimeError(ValueError):
+    """The ValueError of _check_times, apart from a setup's other checks."""
+
+
 def _check_times(setup):
-    """ValueError unless setup's dt, t_end and output_interval are positive
+    """_TimeError unless setup's dt, t_end and output_interval are positive
     and finite and ask for at most _MAX_STEPS steps and _MAX_SNAPSHOTS
-    snapshots."""
-    _check_positive(setup)
-    _step_count(setup.t_end, setup.dt)
-    _snapshot_count(setup.t_end, setup.output_interval)
+    snapshots.  RunSetup and slab.SlabRunSetup run it when they are built,
+    and nothing else does."""
+    try:
+        _check_positive(setup)
+        _step_count(setup.t_end, setup.dt)
+        _snapshot_count(setup.t_end, setup.output_interval)
+    except ValueError as exc:
+        raise _TimeError(*exc.args) from None
 
 
 @dataclass

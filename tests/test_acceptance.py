@@ -18,7 +18,7 @@ from smabar.invariants3d import (cu_based_3d, cubic_group_elements,
                                  free_energy_3d, invariants)
 from smabar.manufactured import build_mms_case
 from smabar.slab import SlabRunSetup, SlabState, cu_based_slab, slab_simulate
-from smabar.solver1d import BoundarySpec, simulate
+from smabar.solver1d import BoundarySpec, Grid1D, simulate
 
 
 def _report(num, name, ok, detail):
@@ -231,7 +231,7 @@ def test_c09_slab_dispersion():
         arrays[field] = amplitude * np.sin(x)
         st = SlabState(0.0, arrays["U1"], arrays["U2"], arrays["V1"],
                        arrays["V2"], arrays["Th"])
-        traj = slab_simulate(SlabRunSetup(p, L, nx, st, dt, t_end,
+        traj = slab_simulate(SlabRunSetup(p, Grid1D(L, nx), st, dt, t_end,
                                           t_end / 400))
         proj = np.array([2.0 / nx * np.sum(getattr(s, field) * np.sin(x))
                          for s in traj.snapshots])
@@ -248,7 +248,7 @@ def test_c09_slab_dispersion():
 
     st = SlabState(0.0, np.full(nx, 0.3), np.full(nx, -0.2), np.zeros(nx),
                    np.zeros(nx), np.full(nx, 5.0))
-    traj = slab_simulate(SlabRunSetup(p, L, nx, st, 1e-4, 1e-4, 1e-4))
+    traj = slab_simulate(SlabRunSetup(p, Grid1D(L, nx), st, 1e-4, 1e-4, 1e-4))
     end = traj.snapshots[-1]
     still = max(np.abs(getattr(end, f) - getattr(st, f)).max()
                 for f in ("U1", "U2", "V1", "V2", "Th"))

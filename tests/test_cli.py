@@ -437,7 +437,7 @@ class TestKindTables:
         setup = cfg.resolve()
         if model == "slab":
             values = setup.state0.fields()
-            n = setup.nx + 1
+            n = setup.grid.nx + 1
         else:
             x = setup.grid.nodes()
             state, forcing = setup.state0, setup.forcing
@@ -732,10 +732,7 @@ class TestSetupValidation:
     def test_length(self, model, length):
         setup = _setup(model, [])
         with pytest.raises(ValueError, match="length"):
-            if model == "slab":
-                replace(setup, length=length)
-            else:
-                replace(setup, grid=Grid1D(length, setup.grid.nx))
+            replace(setup, grid=Grid1D(length, setup.grid.nx))
 
 
 def _source(run, tmp):
@@ -977,6 +974,53 @@ class TestMain:
         assert main(argv + [a for o in overrides
                             for a in ("--override", o)]) == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("run, overrides", [
+        ("experiment2", ["time.t_end=0.0016"]),
+        ("mms", ["time.t_end=0.0005"]),
+        ("slab", ["time.t_end=0.0002"]),
+    ])
+    def test_run_checks_its_times_and_grid_once(self, tmp_path, monkeypatch,
+                                                run, overrides):
+        """The time rule (_check_times, run by the setup as it is built)
+        and the grid rule (Grid1D) each run once per sma run."""
+        calls = []
+        check_times = solver1d._check_times
+        grid_check = Grid1D.__post_init__
+
+        def counting_times(setup):
+            calls.append("times")
+            return check_times(setup)
+
+        def counting_grid(self):
+            calls.append("grid")
+            return grid_check(self)
+
+        for module in (solver1d, slab):
+            monkeypatch.setattr(module, "_check_times", counting_times)
+        monkeypatch.setattr(Grid1D, "__post_init__", counting_grid)
+        argv = ["run", *_source(run, str(tmp_path)),
+                "--out", str(tmp_path / "o")]
+        assert main(argv + [a for o in overrides
+                            for a in ("--override", o)]) == 0
+        assert sorted(calls) == ["grid", "times"]
+
+    @pytest.mark.parametrize("run", ["conservation", "slab"])
+    def test_time_error_comes_after_the_other_config_checks(self, tmp_path,
+                                                            capsys, run):
+        """The setup checks its own times as it is built, so a config
+        error found before that is the one reported; alone, a broken time
+        is a [time] error."""
+        broken = {"conservation": "phases.austenite_band=0",
+                  "slab": "grid.nx=100"}[run]
+        argv = ["run", *_source(run, str(tmp_path)),
+                "--out", str(tmp_path / "o"), "--override", "time.dt=-1"]
+        assert main(argv + ["--override", broken]) == 1
+        both = capsys.readouterr().err
+        assert main(argv) == 1
+        alone = capsys.readouterr().err
+        assert "config error: [time] dt must be positive" in alone
+        assert "[time]" not in both and "config error:" in both
 
     @pytest.mark.parametrize("ambient", ["-50", "0"])
     def test_non_positive_ambient_is_config_error(self, tmp_path, capsys,

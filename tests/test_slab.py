@@ -19,7 +19,7 @@ from smabar.slab import (
     slab_rhs,
     slab_simulate,
 )
-from smabar.solver1d import IntegrationError
+from smabar.solver1d import Grid1D, IntegrationError
 
 P = cu_based_slab()
 L = 2.0 * np.pi
@@ -73,7 +73,7 @@ class TestFixedPoint:
 
     def test_step_stationarity(self):
         st = uniform_state(0.3, -0.2, 5.0)
-        setup = SlabRunSetup(P, L, NX, st, 5e-5, 5e-4, 5e-4)
+        setup = SlabRunSetup(P, Grid1D(L, NX), st, 5e-5, 5e-4, 5e-4)
         traj = slab_simulate(setup)
         end = traj.snapshots[-1]
         for name in ("U1", "U2", "V1", "V2", "Th"):
@@ -84,7 +84,7 @@ class TestFixedPoint:
 class TestDispersion:
     def test_longitudinal_phase_speed(self):
         st = standing_wave("U1", 1e-6)
-        setup = SlabRunSetup(P, L, NX, st, 5e-5, 0.02, 0.02 / 400)
+        setup = SlabRunSetup(P, Grid1D(L, NX), st, 5e-5, 0.02, 0.02 / 400)
         omega = measured_frequency(slab_simulate(setup), "U1")
         target = np.sqrt((P.c_wave - P.c_disp * P.b ** 2) / P.rho)
         assert omega / 1.0 == pytest.approx(target, rel=5e-3)
@@ -95,7 +95,7 @@ class TestDispersion:
         st = standing_wave("U2", 1e-6)
         om_ref = np.sqrt(P.c_bend * P.b ** 2 / P.rho)
         T = 2 * np.pi / om_ref
-        setup = SlabRunSetup(P, L, NX, st, 2e-4, T, T / 400)
+        setup = SlabRunSetup(P, Grid1D(L, NX), st, 2e-4, T, T / 400)
         omega = measured_frequency(slab_simulate(setup), "U2")
         assert omega == pytest.approx(om_ref, rel=1e-2)
 
@@ -103,7 +103,7 @@ class TestDispersion:
 class TestDecoupling:
     def test_bending_stays_zero_under_longitudinal_motion(self):
         st = standing_wave("U1", 1e-4)
-        setup = SlabRunSetup(P, L, NX, st, 5e-5, 0.01, 0.002)
+        setup = SlabRunSetup(P, Grid1D(L, NX), st, 5e-5, 0.01, 0.002)
         traj = slab_simulate(setup)
         for s in traj.snapshots:
             np.testing.assert_array_equal(s.U2, 0.0)
@@ -202,7 +202,7 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             st.validate()
         with pytest.raises(ValueError, match=f"{name} must be finite"):
-            SlabRunSetup(P, L, NX, st, 1e-4, 1e-3, 1e-3)
+            SlabRunSetup(P, Grid1D(L, NX), st, 1e-4, 1e-3, 1e-3)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -300.0])
     def test_state_theta_must_be_finite_and_above_floor(self, bad):
@@ -212,7 +212,7 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite and above -300 K"):
             st.validate()
         with pytest.raises(ValueError, match="finite and above -300 K"):
-            SlabRunSetup(P, L, NX, st, 1e-4, 1e-3, 1e-3)
+            SlabRunSetup(P, Grid1D(L, NX), st, 1e-4, 1e-3, 1e-3)
 
     @pytest.mark.parametrize("ends, least", [("periodic", 4),
                                              ("pinned_insulated", 5)])
@@ -232,18 +232,19 @@ class TestValidation:
     def test_setup_is_frozen(self):
         """A setup's fields cannot change once it is built, so they stay
         the ones its __post_init__ checked."""
-        setup = SlabRunSetup(P, L, NX, uniform_state(), 1e-4, 1e-3, 1e-3)
+        setup = SlabRunSetup(P, Grid1D(L, NX), uniform_state(), 1e-4, 1e-3,
+                             1e-3)
         with pytest.raises(FrozenInstanceError):
-            setup.nx = 2 * NX
+            setup.grid = Grid1D(L, 2 * NX)
 
     def test_setup_array_length_matches_ends(self):
         with pytest.raises(ValueError):
-            SlabRunSetup(P, L, NX, uniform_state(n=NX), 1e-4, 1e-3, 1e-3,
-                         "pinned_insulated")
+            SlabRunSetup(P, Grid1D(L, NX), uniform_state(n=NX), 1e-4, 1e-3,
+                         1e-3, "pinned_insulated")
 
     def test_snapshot_cadence(self):
         st = uniform_state()
-        setup = SlabRunSetup(P, L, NX, st, 1e-4, 0.0103, 0.002)
+        setup = SlabRunSetup(P, Grid1D(L, NX), st, 1e-4, 0.0103, 0.002)
         traj = slab_simulate(setup)
         assert len(traj.snapshots) == int(np.floor(0.0103 / 0.002)) + 1
 
@@ -252,7 +253,7 @@ class TestValidation:
         (the odd ghost nodes assume it) and holds them there.  Without that,
         the end U1 of a uniform 0.001 cm start drifts and the run aborts."""
         st = uniform_state(u1=1e-3, u2=0.0, th=0.0, n=41)
-        setup = SlabRunSetup(P, 4.0, 40, st, 1e-4, 0.05, 0.002,
+        setup = SlabRunSetup(P, Grid1D(4.0, 40), st, 1e-4, 0.05, 0.002,
                              "pinned_insulated")
         traj = slab_simulate(setup)
         assert len(traj.snapshots) == 26

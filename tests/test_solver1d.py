@@ -36,6 +36,8 @@ from smabar.solver1d import (
     step,
 )
 
+from rhs_reference import ReferenceRhs
+
 P = cu_based()
 
 
@@ -647,6 +649,28 @@ class TestImplicitSolver:
         assert stepper.refreshes > 0
         assert max(refreshes_per_solve) == 1
 
+    def test_experiment2_work_counters(self, monkeypatch):
+        """The stepper's work on experiment2 to t = 1 ms (1,250 steps), as
+        counted before the right-hand side's node stage became one
+        gathered sum: rounding-level changes to the right-hand side leave
+        every chord, refresh and fallback decision of this run as it was."""
+        steppers = []
+        init = _ImplicitStepper.__init__
+
+        def kept(self, *args):
+            init(self, *args)
+            steppers.append(self)
+
+        monkeypatch.setattr(_ImplicitStepper, "__init__", kept)
+        setup = replace(preset("experiment2"), t_end=1.0).resolve()
+        assert round(setup.t_end / setup.dt) == 1250
+        simulate(setup)
+        (stepper,) = steppers
+        names = ("nfe", "factorisations", "solves", "refreshes", "fallbacks",
+                 "subdivided")
+        assert [getattr(stepper, n) for n in names] == [8358, 179, 6202, 147,
+                                                         5, 0]
+
     @staticmethod
     def _stepped(name, steps=5):
         """A stepper of preset name and its state after a few steps."""
@@ -820,6 +844,69 @@ class TestBatchedRhs:
         state.theta_dot = None
         with pytest.raises(IntegrationError, match="degenerate nu coupling"):
             compute_stress(state, g, p.with_(tau0=0.0))
+
+
+# The node stage sums each row's terms in another order than the reference
+# stencils and folds 1/rho, 1/C_v and 1/dx^2 into its weights, so a row
+# rounds differently by a few ulps of the largest value of its field; 64
+# ulps of that leaves room, and a wrong weight or a lost term misses by a
+# sizeable fraction of it.
+ROUNDING = 64 * np.finfo(float).eps
+
+
+def _near_reference(got, want, nf):
+    """|got - want| within ROUNDING of the largest |want| of each field of
+    each state of a packed state or stack."""
+    got = got.reshape(got.shape[:-1] + (-1, nf))
+    want = want.reshape(got.shape)
+    scale = np.abs(want).max(axis=-2, keepdims=True)
+    return bool((np.abs(got - want) <= ROUNDING * scale).all())
+
+
+class TestReferenceRhs:
+    """_Rhs against the stencils it replaced (tests/rhs_reference.py)."""
+
+    @pytest.mark.parametrize("mech, thermal, changed", JACOBIAN_CASES,
+                             ids=JACOBIAN_IDS)
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), nx=st.integers(4, 12),
+           rows=st.integers(1, 5), t=st.floats(0.0, 10.0))
+    def test_matches_reference(self, mech, thermal, changed, seed, nx, rows,
+                               t):
+        p = P.with_(**changed)
+        bcs = BoundarySpec(mech, thermal, beta=0.5,
+                           theta_ambient=lambda s: 290.0 + s)
+        g = Grid1D(1.0, nx)
+        f, ref = _Rhs(g, p, bcs, WAVY), ReferenceRhs(g, p, bcs, WAVY)
+        zs = _random_stack(seed, p, nx, rows)
+        assert _near_reference(f(zs[0], t), ref(zs[0], t), f.nf)
+        assert _near_reference(f(zs, t), ref(zs, t), f.nf)
+        s, want = f.stress(f.unpack(zs[0], t)), ref.stress(zs[0], t)
+        assert (np.abs(s - want) <= ROUNDING * np.abs(want).max()).all()
+
+    @pytest.mark.parametrize("mech, thermal, changed", [
+        ("pinned", "controlled_flux", {}),
+        ("mixed", "controlled_flux", {"tau0": 1e-3, "nu": 3.0, "mu": 2.5,
+                                      "gamma": 1e-6, "beta_tilde": 1e-3}),
+    ], ids=["base", "every-tail"])
+    def test_large_grid_stays_linear(self, mech, thermal, changed):
+        """At nx = 20,000 every array _Rhs keeps holds at most 5 values per
+        entry of z (the tap and weight tables), and a single call and a
+        stack call still meet the reference."""
+        nx = 20_000
+        p = P.with_(**changed)
+        bcs = BoundarySpec(mech, thermal, beta=0.5, theta_ambient=290.0)
+        g = Grid1D(1.0, nx)
+        f = _Rhs(g, p, bcs, WAVY)
+        kept = [a for a in vars(f).values() if isinstance(a, np.ndarray)]
+        assert max(a.size for a in kept) <= 5 * (nx + 1) * f.nf
+        # u and v scaled down so that strains and strain rates at this dx
+        # are those of the coarse grids, with C_v - nu <eps_dot> positive
+        scale = np.tile([1e-5, 1e-4, 1.0, 1e-3][:f.nf], nx + 1)
+        zs = _random_stack(5, p, nx, 2) * scale
+        ref = ReferenceRhs(g, p, bcs, WAVY)
+        assert _near_reference(f(zs[0], 0.5), ref(zs[0], 0.5), f.nf)
+        assert _near_reference(f(zs, 0.5), ref(zs, 0.5), f.nf)
 
 
 def _vec(lo, hi, n):
