@@ -41,10 +41,15 @@ sum.
 Integrators: classical explicit RK4 (default; subject to the bound of
 `stable_dt`) and the fixed-step implicit `implicit_euler` and
 `implicit_midpoint`, solved by chord iterations on banded LU factors of a
-coloured finite-difference Jacobian (`_ImplicitStepper`).  The README's
-"Numerical notes" give the chord iteration's refresh and stopping rules,
-when and how scipy's LAPACK is loaded, and why backward Euler is the
-integrator of the phase-transformation experiments.
+coloured finite-difference Jacobian (`_ImplicitStepper`).  _Rhs owns
+everything a stepper needs to know of the packed state: the Jacobian's
+half-bandwidth, the per-field increment scales, the tau0 row weights and
+the plausibility test of a solution, so the implicit stepper reads nothing
+of the bar.  Each run keeps its stepper, with its work counters, on the
+Trajectory that simulate returns.  The README's "Numerical notes" give
+the chord iteration's refresh and stopping rules, when and how scipy's
+LAPACK is loaded, and why backward Euler is the integrator of the
+phase-transformation experiments.
 """
 
 from __future__ import annotations
@@ -67,7 +72,6 @@ __all__ = [
     "RunSetup",
     "Trajectory",
     "IntegrationError",
-    "compute_stress",
     "rhs",
     "step",
     "simulate",
@@ -287,6 +291,12 @@ class _Rhs:
     -C_v theta_dot and relaxation terms.  The tables are built once, here,
     and hold O(n) values.
 
+    For an implicit stepper (_ImplicitStepper) it also owns the packed
+    layout's band, scales, row weights and plausibility test: half_bw,
+    the Jacobian's half-bandwidth from the stencil's node reach; scale, a
+    negligible increment of each field tiled over the nodes; row_weights(dt),
+    the tau0 weights of the theta_dot rows; and plausible(z).
+
     Every stencil runs along the last axis, so each row of a stack goes
     through the floating-point operations of a single call, in the same
     order, and gets a bit-identical derivative.
@@ -316,6 +326,19 @@ class _Rhs:
                        if bcs.thermal == "controlled_flux" and bcs.beta != 0.0
                        else None)
         self._memo = (None, None)
+        # what an implicit stepper needs of the packed layout: the node
+        # reach of the stencil is 1 in the base case; the tau0 acceleration
+        # coupling and the nu rate elimination extend it to 2, the
+        # one-sided Ginsburg boundary closure to 3, and to 4 when the tau0
+        # coupling differences that closure's accelerations.  scale is the
+        # size of a negligible increment of each field.
+        reach = 1
+        if nf == 4 or params.nu != 0.0:
+            reach = 2
+        if params.gamma != 0.0:
+            reach = 4 if nf == 4 else 3
+        self.half_bw = (reach + 1) * nf - 1
+        self.scale = np.tile((1e-2, 1e-1, 200.0, 10.0)[:nf], nn)
 
         # node-stage weights, per node: 1/rho on the v rows and 1/C_v (1 /
         # (tau0 C_v) on the theta_dot rows when tau0 > 0) on the heat
@@ -399,6 +422,27 @@ class _Rhs:
         if self.p.nu != 0.0:
             v = z[1::self.nf]
             self._cv_n((v[1:] - v[:-1]) * self.dxi, t)
+
+    def row_weights(self, dt: float) -> Optional[np.ndarray]:
+        """D for an implicit step of size dt: 1 on every row but theta_dot's,
+        min(1, tau0 / dt) there; None when D = I (tau0 = 0 or tau0 >= dt)."""
+        if self.nf == 3 or self.p.tau0 >= dt:
+            return None
+        d = np.ones(self.nn * self.nf)
+        d[3::4] = self.p.tau0 / dt
+        return d
+
+    def plausible(self, z: np.ndarray) -> bool:
+        """Whether the packed state z is finite, with every theta above
+        _THETA_FLOOR and every |eps| below _EPS_CEIL: an implicit solve
+        that ends elsewhere found a spurious root."""
+        if not np.isfinite(z).all():
+            return False
+        Z = z.reshape(-1, self.nf)
+        if Z[:, 2].min() <= _THETA_FLOOR:
+            return False
+        u = Z[:, 0]
+        return abs(u[1:] - u[:-1]).max() / self.grid.dx < _EPS_CEIL
 
     def diag(self, state: FieldState) -> tuple:
         """Diagnostics row (t, total energy, max |eps|, theta_min,
@@ -491,7 +535,7 @@ class _Rhs:
         return Z, eps, deps, th_m, s, dz
 
     def stress(self, state: FieldState) -> np.ndarray:
-        """Midpoint stress of state (compute_stress)."""
+        """Midpoint stress of state."""
         return self._stages(self.pack(state), state.t)[4]
 
     def __call__(self, z: np.ndarray, t: float) -> np.ndarray:
@@ -525,22 +569,6 @@ class _Rhs:
 
 # ---------------------------------------------------------------------------
 # public physics operators
-
-
-def compute_stress(state: FieldState, grid: Grid1D, params: MaterialParams1D,
-                   bcs: BoundarySpec | None = None,
-                   forcing: Forcing | None = None) -> np.ndarray:
-    """Midpoint stress array for a given state.
-
-    Strain and strain rate come from centred differences of u and v across
-    each midpoint, theta from the two-point node average.  When nu != 0 and
-    tau0 = 0 the temperature rate is recovered from the energy equation,
-    which requires the boundary conditions and heat forcing; they default
-    to insulated ends and no forcing.
-    """
-    state.validate(grid, params)
-    return _Rhs(grid, params, bcs or BoundarySpec(),
-                forcing or Forcing.none()).stress(state)
 
 
 def rhs(state: FieldState, grid: Grid1D, params: MaterialParams1D,
@@ -613,12 +641,22 @@ def stable_dt(state: FieldState, grid: Grid1D,
 # time integration
 
 
-def _rk4_step(z: np.ndarray, t: float, dt: float, f: Callable) -> np.ndarray:
-    k1 = f(z, t)
-    k2 = f(z + 0.5 * dt * k1, t + 0.5 * dt)
-    k3 = f(z + 0.5 * dt * k2, t + 0.5 * dt)
-    k4 = f(z + dt * k3, t + dt)
-    return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+class _Rk4Stepper:
+    """Classical explicit RK4 on the right-hand side f(z, t); nfe counts
+    its evaluations, four per step (a step that aborts included)."""
+
+    def __init__(self, f):
+        self.f = f
+        self.nfe = 0
+
+    def advance(self, z: np.ndarray, t: float, dt: float) -> np.ndarray:
+        f = self.f
+        self.nfe += 4
+        k1 = f(z, t)
+        k2 = f(z + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = f(z + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = f(z + dt * k3, t + dt)
+        return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 @cache
@@ -677,9 +715,17 @@ def _band_solve(factors, hb: int, b: np.ndarray) -> Optional[np.ndarray]:
 class _ImplicitStepper:
     """Fixed-step implicit Euler / midpoint with damped banded Newton.
 
+    The stepper knows nothing of the state's layout: its right-hand side f
+    supplies f(z, t), for a state z or a stack of them, and the four
+    members that describe z, which _Rhs owns for the bar: half_bw, the
+    half-bandwidth of the Jacobian; scale, the size of a negligible
+    increment of each entry (increment and residual norms are max |r| /
+    scale); row_weights(dt), the row weights D of a step of size dt (None
+    when D = I); and plausible(z), whether a solution is acceptable.
+
     The Jacobian is assembled by coloured finite differences in banded
     storage: z and its 2 hb + 1 coloured perturbations form one (2 hb + 2,
-    n) stack, evaluated by a single _Rhs call; nfe counts each row of it as
+    n) stack, evaluated by a single call of f; nfe counts each row of it as
     one evaluation.  The LU factors of I - w J are kept: every chord
     iteration solves with them, across steps.  When the scaled increment
     norm contracts by less than THETA_REFRESH per iteration, the factors
@@ -687,32 +733,21 @@ class _ImplicitStepper:
     goes on from it.  The chord iteration stops on |dz_k| < TOL or, from
     its second increment on, on the error estimate (see _converged); one
     whose residual stops decreasing hands the step to damped Newton.
-    Residuals and Newton matrices are row-weighted by D (_row_weights).
-    A singular factor or a non-finite solve is a failed solve.
-    A solution is accepted only if it is physically plausible (finite,
-    theta above 1 K, |eps| below 0.5); when the Newton iteration fails or
-    finds no plausible solution the step is halved locally, which resolves
-    snap-through transients.
+    Residuals and Newton matrices are row-weighted by D.  A singular
+    factor or a non-finite solve is a failed solve.  A solution is
+    accepted only if f finds it plausible; when the Newton iteration fails
+    or finds no plausible solution the step is halved locally, which
+    resolves snap-through transients.
     """
 
     MAX_DEPTH = 12
 
-    def __init__(self, f: _Rhs, kind: str):
+    def __init__(self, f, kind: str):
         self.f = f
         self.kind = kind
-        # node reach of the stencil: 1 in the base case; the tau0
-        # acceleration coupling and the nu rate elimination extend it to 2,
-        # the one-sided Ginsburg boundary closure to 3, and to 4 when the
-        # tau0 coupling differences that closure's accelerations.
-        reach = 1
-        if f.nf == 4 or f.p.nu != 0.0:
-            reach = 2
-        if f.p.gamma != 0.0:
-            reach = 4 if f.nf == 4 else 3
-        self.half_bw = hb = (reach + 1) * f.nf - 1
         # band entry (hb + o, j) holds row j + o of column j where that row
         # exists; _banded_jacobian fills all of them in one scatter
-        n = f.nn * f.nf
+        hb, n = f.half_bw, f.scale.size
         cols = np.arange(n)
         rows = cols + np.arange(-hb, hb + 1)[:, None]
         self._in_band = (rows >= 0) & (rows < n)
@@ -720,8 +755,6 @@ class _ImplicitStepper:
         self._band_cols = np.broadcast_to(cols, rows.shape)[self._in_band]
         self._colour = cols % (2 * hb + 1)
         self.lu = None
-        scale = {3: (1e-2, 1e-1, 200.0), 4: (1e-2, 1e-1, 200.0, 10.0)}
-        self._scale = np.tile(scale[f.nf], f.nn)
         # work counters; fallbacks counts chord iterations that gave way to
         # damped Newton
         self.nfe = 0
@@ -734,20 +767,11 @@ class _ImplicitStepper:
     # -- helpers -----------------------------------------------------------
 
     def _norm(self, r: np.ndarray) -> float:
-        val = float((np.abs(r) / self._scale).max())
+        val = float((np.abs(r) / self.f.scale).max())
         return val if val < np.inf else np.inf      # nan -> inf
 
-    def _plausible(self, z: np.ndarray) -> bool:
-        if not np.isfinite(z).all():
-            return False
-        Z = z.reshape(-1, self.f.nf)
-        if Z[:, 2].min() <= _THETA_FLOOR:
-            return False
-        u = Z[:, 0]
-        return abs(u[1:] - u[:-1]).max() / self.f.grid.dx < _EPS_CEIL
-
     def _banded_jacobian(self, z: np.ndarray, t: float) -> np.ndarray:
-        f, hb = self.f, self.half_bw
+        f, hb = self.f, self.f.half_bw
         n = z.size
         ncol = 2 * hb + 1
         h = 1e-7 * np.maximum(np.abs(z), 1.0)
@@ -763,24 +787,14 @@ class _ImplicitStepper:
         ab[self._in_band] = df[cols % ncol, self._band_rows] / h[cols]
         return ab
 
-    def _row_weights(self, dt: float) -> Optional[np.ndarray]:
-        """D: 1 on every row but theta_dot's, min(1, tau0 / dt) there; None
-        when D = I (tau0 = 0 or tau0 >= dt)."""
-        tau0 = self.f.p.tau0
-        if self.f.nf == 3 or tau0 >= dt:
-            return None
-        d = np.ones(self.f.nn * self.f.nf)
-        d[3::4] = tau0 / dt
-        return d
-
     def _system_matrix(self, z: np.ndarray, t: float, dt: float):
         """_band_lu factors of D (I - w J(z, t)), or None (see _band_lu)."""
         w = dt if self.kind == "implicit_euler" else 0.5 * dt
-        hb = self.half_bw
+        hb = self.f.half_bw
         ab = np.zeros((3 * hb + 1, z.size))
         ab[hb:] = -w * self._banded_jacobian(z, t)
         ab[2 * hb] += 1.0
-        d = self._row_weights(dt)
+        d = self.f.row_weights(dt)
         if d is not None:
             band = ab[hb:]
             band[self._in_band] *= d[self._band_rows]
@@ -797,7 +811,7 @@ class _ImplicitStepper:
         residual of zg and the _system_matrix factors, both taken at the
         stage point of zg, which is zg at t + dt for implicit Euler and
         0.5 (z + zg) at t + dt/2 for the midpoint rule."""
-        f, d = self.f, self._row_weights(dt)
+        f, d = self.f, self.f.row_weights(dt)
         if self.kind == "implicit_euler":
             point, ts = (lambda zg: zg), t + dt
         else:
@@ -845,14 +859,14 @@ class _ImplicitStepper:
                 rn = self._norm(r)
                 dn_prev, refreshed = np.inf, False
                 for _ in range(25):
-                    dz = _band_solve(self.lu, self.half_bw, -r)
+                    dz = _band_solve(self.lu, self.f.half_bw, -r)
                     self.solves += 1
                     if dz is None:
                         break
                     zg = zg + dz
                     dn = self._norm(dz)
                     if self._converged(dn, dn_prev):
-                        if self._plausible(zg):
+                        if self.f.plausible(zg):
                             return zg
                         break
                     r = resid(zg)
@@ -884,14 +898,14 @@ class _ImplicitStepper:
                 lu = matrix(zg)
                 if lu is None:
                     return None
-                dz = _band_solve(lu, self.half_bw, -r)
+                dz = _band_solve(lu, self.f.half_bw, -r)
                 self.solves += 1
                 if dz is None:
                     return None
                 self.lu = lu             # cache for the next step's fast path
                 if self._converged(self._norm(dz)):
                     zg = zg + dz
-                    return zg if self._plausible(zg) else None
+                    return zg if self.f.plausible(zg) else None
                 lam, accepted = 1.0, False
                 for _ in range(6):
                     zt = zg + lam * dz
@@ -942,11 +956,12 @@ def _clamp_ends(state: FieldState, bcs: BoundarySpec) -> FieldState:
 
 
 def _stepper(f, integrator: str):
-    """advance(z, t, dt): one step of the selected integrator on the
-    right-hand side f (the implicit ones need the bar's _Rhs)."""
-    if integrator == "rk4":
-        return lambda z, t, dt: _rk4_step(z, t, dt, f)
-    return _ImplicitStepper(f, integrator).advance
+    """The stepper of the selected integrator on the right-hand side f:
+    its advance(z, t, dt) takes one step, and it keeps the run's work
+    counters (an implicit one also reads f's half_bw, scale, row_weights
+    and plausible)."""
+    return (_Rk4Stepper(f) if integrator == "rk4"
+            else _ImplicitStepper(f, integrator))
 
 
 def _accept(z: np.ndarray, t: float, check):
@@ -969,7 +984,7 @@ def step(state: FieldState, dt: float, grid: Grid1D, params: MaterialParams1D,
     """
     f, state = RunSetup(grid, params, bcs, forcing, state, dt, dt, dt,
                         integrator, gamma_sign).start()
-    z1 = _stepper(f, integrator)(f.pack(state), state.t, dt)
+    z1 = _stepper(f, integrator).advance(f.pack(state), state.t, dt)
     _accept(z1, state.t + dt, f.check)
     return f.unpack(z1, state.t + dt)
 
@@ -1058,11 +1073,14 @@ class RunSetup:
 class Trajectory:
     """The output of a run of either model: its setup (RunSetup or
     slab.SlabRunSetup), the right-hand side it stepped with (_Rhs or
-    slab._SlabRhs, which the artifact writers read), the stored snapshots,
-    one diagnostics row each (the model's diag), and the abort status."""
+    slab._SlabRhs, which the artifact writers read), the stepper that
+    stepped it (with its work counters, as far as the run got), the stored
+    snapshots, one diagnostics row each (the model's diag), and the abort
+    status."""
 
     setup: object
     rhs: object
+    stepper: object
     snapshots: list = field(default_factory=list)
     diagnostics: list = field(default_factory=list)
     failed: bool = False
@@ -1075,7 +1093,8 @@ class Trajectory:
 def simulate(setup) -> Trajectory:
     """Run either model from t = 0 to setup.t_end in fixed steps of
     setup.dt, the last one shortened to end on t_end, and return the
-    Trajectory of setup, which keeps the right-hand side f as its rhs.
+    Trajectory of setup, which keeps the right-hand side f as its rhs and
+    the stepper of setup.integrator (_stepper) as its stepper.
     slab.slab_simulate is this function.
 
     setup is a RunSetup or a slab.SlabRunSetup.  setup.start() gives f and
@@ -1095,8 +1114,8 @@ def simulate(setup) -> Trajectory:
     f, state = setup.start()
     if state.t != 0:
         raise ValueError(f"a run starts at t = 0; state0.t is {state.t!r}")
-    advance = _stepper(f, setup.integrator)
-    traj = Trajectory(setup, f)
+    traj = Trajectory(setup, f, _stepper(f, setup.integrator))
+    advance = traj.stepper.advance
     n_snap = _snapshot_count(setup.t_end, setup.output_interval)
     snap_times = np.arange(n_snap) * setup.output_interval
     tol = 1e-9 * max(setup.dt, setup.output_interval)

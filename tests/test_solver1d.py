@@ -2,6 +2,7 @@
 fidelity, integrator consistency and failure handling."""
 
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import LinAlgError, solve_banded
 
 from smabar import solver1d
-from smabar.cli import preset
+from smabar.cli import load_config, preset
 from smabar.constitutive import cu_based, equilibrium_stress
 from smabar.solver1d import (
     MECH_KINDS,
@@ -28,7 +29,6 @@ from smabar.solver1d import (
     _ImplicitStepper,
     _node_average,
     _Rhs,
-    compute_stress,
     energy_budget,
     rhs,
     simulate,
@@ -48,6 +48,11 @@ def make_state(grid, u=None, v=None, theta=300.0, t=0.0):
     vv = np.zeros(n) if v is None else v(x)
     th = np.full(n, theta) if np.isscalar(theta) else theta(x)
     return FieldState(t, uu, vv, th)
+
+
+def bar_stress(state, grid, params):
+    """Midpoint stress of state, with insulated pinned ends and no forcing."""
+    return _Rhs(grid, params, BoundarySpec(), Forcing.none()).stress(state)
 
 
 class TestGrid:
@@ -70,14 +75,14 @@ class TestComputeStress:
     def test_zero_displacement(self):
         g = Grid1D(1.0, 16)
         st = make_state(g, theta=277.0)
-        np.testing.assert_array_equal(compute_stress(st, g, P), 0.0)
+        np.testing.assert_array_equal(bar_stress(st, g, P), 0.0)
 
     def test_uniform_strain_at_transition(self):
         g = Grid1D(1.0, 16)
         ex = 0.09
         st = make_state(g, u=lambda x: ex * x, theta=P.theta1)
         expect = -P.k2 * ex ** 3 + P.k3 * ex ** 5
-        np.testing.assert_allclose(compute_stress(st, g, P), expect,
+        np.testing.assert_allclose(bar_stress(st, g, P), expect,
                                    rtol=1e-12)
 
     def test_linear_u_matches_constitutive_pointwise(self):
@@ -85,14 +90,14 @@ class TestComputeStress:
         ex = 0.04
         st = make_state(g, u=lambda x: ex * x, theta=300.0)
         np.testing.assert_allclose(
-            compute_stress(st, g, P),
+            bar_stress(st, g, P),
             equilibrium_stress(P, 300.0, ex), rtol=1e-12)
 
     def test_viscous_contribution(self):
         g = Grid1D(1.0, 12)
         p = P.with_(mu=2.5)
         st = make_state(g, v=lambda x: 0.1 * x, theta=300.0)
-        np.testing.assert_allclose(compute_stress(st, g, p),
+        np.testing.assert_allclose(bar_stress(st, g, p),
                                    2.5 * 0.1, rtol=1e-12)
 
     @pytest.mark.parametrize("tau0", [0.0, 1e-3])
@@ -111,7 +116,7 @@ class TestComputeStress:
                             rng.uniform(-5.0, 5.0, n) if tau0 else None)
             th_m = 0.5 * (st.theta[1:] + st.theta[:-1])
             np.testing.assert_array_equal(
-                compute_stress(st, g, p),
+                bar_stress(st, g, p),
                 equilibrium_stress(p, th_m, st.strain(g)))
 
     def test_rate_terms_with_relaxation(self):
@@ -124,7 +129,7 @@ class TestComputeStress:
                         -2.0 + 5.0 * x)
         w_mid = -2.0 + 5.0 * g.midpoints()
         expect = equilibrium_stress(p, 300.0, 0.04) + 2.5 * 0.1 + 3.0 * w_mid
-        np.testing.assert_allclose(compute_stress(st, g, p), expect,
+        np.testing.assert_allclose(bar_stress(st, g, p), expect,
                                    rtol=1e-13, atol=1e-12)
 
 
@@ -169,7 +174,7 @@ class TestRhs:
     @pytest.mark.parametrize("name", ["u", "v", "theta", "theta_dot"])
     def test_nonfinite_field_is_value_error(self, name, value):
         """A non-finite field is refused as input, by validate and so by
-        rhs, compute_stress and simulate, instead of surfacing later as a
+        rhs and simulate, instead of surfacing later as a
         stability abort of the integrator."""
         g = Grid1D(1.0, 8)
         p = P.with_(tau0=1e-3)
@@ -185,8 +190,6 @@ class TestRhs:
                            match="non-positive temperature" if negative
                            else match):
             rhs(st, g, p, BoundarySpec(), Forcing.none())
-        with pytest.raises(ValueError, match=match):
-            compute_stress(st, g, p)
         with pytest.raises(ValueError, match=match):
             simulate(RunSetup(g, p, BoundarySpec(), Forcing.none(), st,
                               1e-4, 1e-3, 1e-3, "implicit_euler"))
@@ -347,33 +350,32 @@ def dominant_bands(draw):
     return hb, ab, rng.uniform(-1e3, 1e3, n)
 
 
-def _plausible_reference(stepper, z):
-    """_ImplicitStepper._plausible as first written, with np.all/np.diff."""
+def _plausible_reference(f, z):
+    """_Rhs.plausible as first written, with np.all/np.diff."""
     if not np.all(np.isfinite(z)):
         return False
-    Z = z.reshape(-1, stepper.f.nf)
+    Z = z.reshape(-1, f.nf)
     if Z[:, 2].min() <= _THETA_FLOOR:
         return False
-    eps = np.abs(np.diff(Z[:, 0])).max() / stepper.f.grid.dx
+    eps = np.abs(np.diff(Z[:, 0])).max() / f.grid.dx
     return eps < _EPS_CEIL
 
 
-def _stepper(nx, tau0=0.0):
-    f = _Rhs(Grid1D(1.0, nx), P.with_(tau0=tau0), BoundarySpec(),
-             Forcing.none())
-    return _ImplicitStepper(f, "implicit_euler")
+def _bar_rhs(nx, tau0=0.0):
+    return _Rhs(Grid1D(1.0, nx), P.with_(tau0=tau0), BoundarySpec(),
+                Forcing.none())
 
 
 @st.composite
 def plausibility_probes(draw):
-    """A stepper and a packed state that lands on every branch of the
-    plausibility test and on its edges: NaN and +-inf anywhere, theta at
-    the floor and strain at the ceiling (u moves in steps of dx / 16, exact
-    in binary on the power-of-two grids)."""
+    """A bar right-hand side and a packed state that lands on every branch
+    of the plausibility test and on its edges: NaN and +-inf anywhere, theta
+    at the floor and strain at the ceiling (u moves in steps of dx / 16,
+    exact in binary on the power-of-two grids)."""
     nx = draw(st.sampled_from([4, 8, 5]))
-    stepper = _stepper(nx, draw(st.sampled_from([0.0, 1e-3])))
-    n, nf = nx + 1, stepper.f.nf
-    dx = stepper.f.grid.dx
+    f = _bar_rhs(nx, draw(st.sampled_from([0.0, 1e-3])))
+    n, nf = nx + 1, f.nf
+    dx = f.grid.dx
     steps = draw(st.lists(st.integers(-9, 9), min_size=nx, max_size=nx))
     Z = np.empty((n, nf))
     Z[:, 0] = np.concatenate([[0.0], np.cumsum(steps) * (dx / 16)])
@@ -387,7 +389,28 @@ def plausibility_probes(draw):
     for _ in range(draw(st.integers(0, 2))):
         Z[draw(st.integers(0, nx)), draw(st.integers(0, nf - 1))] = draw(
             st.sampled_from([np.nan, np.inf, -np.inf]))
-    return stepper, Z.ravel()
+    return f, Z.ravel()
+
+
+class _LinearRhs:
+    """y' = A y with A = c tridiag(1, -2, 1): a right-hand side with nothing
+    of the bar, only the members an implicit stepper reads, and row weights
+    of 1/2 on every other row."""
+
+    def __init__(self, n, c):
+        self.a = c * (np.eye(n, k=-1) - 2.0 * np.eye(n) + np.eye(n, k=1))
+        self.half_bw = 1
+        self.scale = np.full(n, 1e-2)
+        self._weights = np.where(np.arange(n) % 2, 1.0, 0.5)
+
+    def __call__(self, y, t):
+        return y @ self.a.T
+
+    def row_weights(self, dt):
+        return self._weights
+
+    def plausible(self, y):
+        return bool(np.isfinite(y).all())
 
 
 def _lu_storage(ab, hb):
@@ -410,7 +433,7 @@ class TestImplicitSolver:
         bcs = BoundarySpec(mech, thermal, beta=0.5, theta_ambient=290.0)
         f = _Rhs(g, p, bcs, Forcing.none())
         stepper = _ImplicitStepper(f, "implicit_euler")
-        hb = stepper.half_bw
+        hb = f.half_bw
         z = f.pack(state)
         ab = stepper._banded_jacobian(z, 0.0)
 
@@ -431,6 +454,25 @@ class TestImplicitSolver:
             j = np.arange(max(0, -o), min(size, size - o))
             unpacked[j + o, j] = ab[hb + o, j]
         np.testing.assert_array_equal(unpacked, dense)
+
+    @pytest.mark.parametrize("kind", ["implicit_euler", "implicit_midpoint"])
+    def test_steps_a_right_hand_side_that_is_not_the_bar(self, kind):
+        """The stepper reads only f(z, t), half_bw, scale, row_weights and
+        plausible: on a linear system y' = A y each step is (I - w A)^-1
+        (I + (dt - w) A) y, w = dt for implicit Euler and dt/2 for the
+        midpoint rule, to within TOL of the scaled norm, from fresh factors
+        on the first step and from the kept ones after it."""
+        n, dt = 12, 0.05
+        f = _LinearRhs(n, 40.0)
+        stepper = _ImplicitStepper(f, kind)
+        w = dt if kind == "implicit_euler" else 0.5 * dt
+        y = np.sin(np.linspace(0.0, np.pi, n))
+        for k in range(4):
+            want = np.linalg.solve(np.eye(n) - w * f.a, y + (dt - w) * f.a @ y)
+            y = stepper.advance(y, k * dt, dt)
+            assert stepper._norm(y - want) < stepper.TOL
+        assert stepper.subdivided == 0
+        assert stepper.factorisations < 4 < stepper.solves
 
     @settings(max_examples=200, deadline=None)
     @given(dominant_bands())
@@ -469,7 +511,7 @@ class TestImplicitSolver:
         from scipy.linalg import lapack
         f = _Rhs(Grid1D(1.0, 8), P.with_(**changed), BoundarySpec(),
                  Forcing.none())
-        hb = _ImplicitStepper(f, "implicit_euler").half_bw
+        hb = f.half_bw
         ours, scipys = solver1d._lapack(), (lapack.dgbtrf, lapack.dgbtrs)
         rng = np.random.default_rng(hb)
         for n in (1, hb, 2 * hb + 3, 60):
@@ -505,8 +547,8 @@ class TestImplicitSolver:
     @settings(max_examples=400, deadline=None)
     @given(plausibility_probes())
     def test_plausible_matches_reference(self, drawn):
-        stepper, z = drawn
-        assert stepper._plausible(z) == _plausible_reference(stepper, z)
+        f, z = drawn
+        assert f.plausible(z) == _plausible_reference(f, z)
 
     @pytest.mark.parametrize("edit, expected", [
         ((2, 2, np.nan), False), ((3, 1, np.inf), False),
@@ -516,14 +558,14 @@ class TestImplicitSolver:
         ((5, 0, np.nextafter(_EPS_CEIL / 8, 0.0)), True),
     ])
     def test_plausible_edges(self, edit, expected):
-        stepper = _stepper(8)              # dx = 1/8: the strain is exact
+        f = _bar_rhs(8)                    # dx = 1/8: the strain is exact
         Z = np.zeros((9, 3))
         Z[:, 2] = 300.0
         node, column, value = edit
         Z[node, column] = value
         z = Z.ravel()
-        assert stepper._plausible(z) == _plausible_reference(stepper, z)
-        assert stepper._plausible(z) == expected
+        assert f.plausible(z) == _plausible_reference(f, z)
+        assert f.plausible(z) == expected
 
     def test_one_factorisation_per_jacobian_build(self, monkeypatch):
         counts = {"jacobian": 0, "factor": 0, "solve": 0, "rhs": 0,
@@ -584,7 +626,8 @@ class TestImplicitSolver:
         assert _band_solve(factors, hb, b) is None
 
     def test_error_estimate_stop(self):
-        stepper, tol = _stepper(8), _ImplicitStepper.TOL
+        stepper = _ImplicitStepper(_bar_rhs(8), "implicit_euler")
+        tol = stepper.TOL
         # the first increment has no contraction rate: only |dz| < TOL
         assert stepper._converged(0.5 * tol)
         assert not stepper._converged(tol)
@@ -630,42 +673,26 @@ class TestImplicitSolver:
             refreshes_per_solve.append(self.refreshes - before)
             return out
 
-        steppers = []
-        init = _ImplicitStepper.__init__
-
-        def kept(self, *args):
-            init(self, *args)
-            steppers.append(self)
-
         monkeypatch.setattr(_ImplicitStepper, "_solve", counted)
-        monkeypatch.setattr(_ImplicitStepper, "__init__", kept)
         setup = replace(preset("experiment2"), t_end=1.0).resolve()
         assert setup.integrator == "implicit_euler"
-        simulate(setup)
-        (stepper,) = steppers
+        stepper = simulate(setup).stepper
         steps = round(setup.t_end / setup.dt)
         # 8.49 banded solves per step without the contraction refresh
         assert stepper.solves <= 6.5 * steps
         assert stepper.refreshes > 0
         assert max(refreshes_per_solve) == 1
 
-    def test_experiment2_work_counters(self, monkeypatch):
-        """The stepper's work on experiment2 to t = 1 ms (1,250 steps), as
-        counted before the right-hand side's node stage became one
-        gathered sum: rounding-level changes to the right-hand side leave
-        every chord, refresh and fallback decision of this run as it was."""
-        steppers = []
-        init = _ImplicitStepper.__init__
-
-        def kept(self, *args):
-            init(self, *args)
-            steppers.append(self)
-
-        monkeypatch.setattr(_ImplicitStepper, "__init__", kept)
+    def test_experiment2_work_counters(self):
+        """The stepper's work on experiment2 to t = 1 ms (1,250 steps), read
+        off the run's Trajectory, as counted before the right-hand side's
+        node stage became one gathered sum: rounding-level changes to the
+        right-hand side leave every chord, refresh and fallback decision of
+        this run as it was."""
         setup = replace(preset("experiment2"), t_end=1.0).resolve()
         assert round(setup.t_end / setup.dt) == 1250
-        simulate(setup)
-        (stepper,) = steppers
+        stepper = simulate(setup).stepper
+        assert isinstance(stepper, _ImplicitStepper)
         names = ("nfe", "factorisations", "solves", "refreshes", "fallbacks",
                  "subdivided")
         assert [getattr(stepper, n) for n in names] == [8358, 179, 6202, 147,
@@ -702,7 +729,7 @@ class TestImplicitSolver:
         out = stepper._solve(z, t, dt)
         assert stepper.refreshes == refreshes + 1
         assert stepper.fallbacks == fallbacks
-        assert out is not None and stepper._plausible(out)
+        assert out is not None and stepper.f.plausible(out)
         assert stepper._norm(out - fresh) < 1e-9
 
     def test_singular_refresh_falls_back_to_newton(self, monkeypatch):
@@ -786,8 +813,8 @@ class TestBatchedRhs:
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
         state = _Rhs(g, p, bcs, scalar).unpack(zs[0], t)
         np.testing.assert_array_equal(
-            compute_stress(state, g, p, bcs, scalar).view(np.int64),
-            compute_stress(state, g, p, bcs, filled).view(np.int64))
+            _Rhs(g, p, bcs, scalar).stress(state).view(np.int64),
+            _Rhs(g, p, bcs, filled).stress(state).view(np.int64))
 
     def test_preset_forcing_is_scalar(self):
         x = Grid1D(1.0, 8).nodes()
@@ -840,10 +867,10 @@ class TestBatchedRhs:
         z = _random_stack(3, p, nx, 1)[0]
         z.reshape(nx + 1, -1)[:, 1] = 20.0 * g.nodes()
         state = f.unpack(z, 0.0)
-        assert np.isfinite(compute_stress(state, g, p)).all()
+        assert np.isfinite(bar_stress(state, g, p)).all()
         state.theta_dot = None
         with pytest.raises(IntegrationError, match="degenerate nu coupling"):
-            compute_stress(state, g, p.with_(tau0=0.0))
+            bar_stress(state, g, p.with_(tau0=0.0))
 
 
 # The node stage sums each row's terms in another order than the reference
@@ -1157,6 +1184,21 @@ class TestBoundaryConditions:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("config, nfe", [
+        ("conservation", 40_000), ("slab_reconstruct.ini", 9_600)])
+    def test_rk4_counts_four_evaluations_per_step(self, config, nfe):
+        """An RK4 run of either model keeps its stepper on the Trajectory,
+        which counts four right-hand side evaluations per step."""
+        if config.endswith(".ini"):
+            config = load_config(os.path.join(
+                os.path.dirname(__file__), "..", "bench", config))
+        else:
+            config = preset(config)
+        setup = config.resolve()
+        assert setup.integrator == "rk4"
+        stepper = simulate(setup).stepper
+        assert stepper.nfe == 4 * round(setup.t_end / setup.dt) == nfe
+
     def test_step_count_ceiling_is_inclusive(self):
         """_step_count returns ceil(t_end/dt) up to 10^9 steps and refuses
         more, so an enormous finite count ends before any stepping; a dt
@@ -1203,9 +1245,10 @@ class TestSimulate:
                          dt, 1.0, 0.5)
         # the same RK4 steps by hand, to the first with a theta <= 0
         f = _Rhs(g, P, setup.bcs, sink)
+        rk4 = solver1d._stepper(f, "rk4")
         z, n = f.pack(setup.state0), 0
         while z[2::3].min() > 0:
-            z = solver1d._rk4_step(z, n * dt, dt, f)
+            z = rk4.advance(z, n * dt, dt)
             n += 1
         assert np.isfinite(z).all() and n > 1
         with pytest.raises(IntegrationError, match="non-positive") as err:
@@ -1245,9 +1288,10 @@ class TestSimulate:
                            match="implicit step failed to converge") as err:
             simulate(setup)
         assert err.value.time == 0.0
-        assert len(steppers) == _ImplicitStepper.MAX_DEPTH + 1
-        assert steppers[0].subdivided == 1
-        assert [s.t for s in err.value.partial.snapshots] == [0.0]
+        partial = err.value.partial
+        assert steppers == [partial.stepper] * (_ImplicitStepper.MAX_DEPTH + 1)
+        assert partial.stepper.subdivided == 1
+        assert [s.t for s in partial.snapshots] == [0.0]
 
     def test_failure_carries_partial_trajectory(self):
         g = Grid1D(1.0, 16)
