@@ -49,6 +49,11 @@ Run with `sma run --preset experiment1 --out outdir` or
 `sma run --config file.ini --out outdir [--override time.dt=0.0005 ...]`.
 Exit codes: 0 success, 1 configuration error, 2 integration abort (partial
 artifacts are written and flagged).
+
+A config is checked in one pass, SimConfig.resolve, which also builds the
+run's setup: load_config, SimConfig.validate and `sma run` all make it, so
+they refuse the same configs with the same messages, and for either model
+a [time] error is reported only when every other check has passed.
 """
 
 from __future__ import annotations
@@ -256,12 +261,6 @@ _KINDS = {
 
 _BREAKPOINTS = ("initial", "u_breakpoints")
 
-# Smallest positive [material] tau0 (ms).  The theta_dot equation divides by
-# tau0, so near the double-precision limit its terms overflow (experiment1's
-# implicit step fails at tau0 = 1e-306); 1e-100 ms keeps 200 decades of
-# head-room and is still far below any physical relaxation time.
-_TAU0_FLOOR = 1e-100
-
 
 def _schema(model):
     if model not in _SCHEMA:
@@ -307,21 +306,25 @@ class SimConfig:
 
     def validate(self):
         """ConfigError where the config is outside its model's validity;
-        returns self.  Two checks need the initial state's physics and are
-        resolve's, not validate's: a full_1d RK4 dt above the initial
-        stable step, and a start where C_v - nu <eps_dot> is not positive.
-        An implicit full_1d config builds its RunSetup here, which loads
+        returns self.  The checks are resolve's, so validate, load_config
+        and `sma run` refuse the same configs with the same messages.  An
+        implicit full_1d config builds its RunSetup here, which loads
         LAPACK."""
-        self._checked()
+        self.resolve()
         return self
 
-    def _checked(self):
-        """The checks of validate; returns the setup they build, a
-        RunSetup for full_1d (its state0 without the theta_dot that
-        resolve sets) or a SlabRunSetup.  A slab config ignores the bar's
-        fields, [phases] and [initial] among them.  The setup checks its
-        own times as it is built, last, so a [time] error is reported only
-        when every other check has passed."""
+    def resolve(self):
+        """The runnable setup of the config, a RunSetup for full_1d or a
+        SlabRunSetup; ConfigError where the config is outside its model's
+        validity.  This is the one check of a config: validate, load_config
+        and `sma run` all make it.  A slab config ignores the bar's fields,
+        [phases] and [initial] among them.
+
+        The setup checks its own times as it is built, after the start
+        state, and a full_1d RK4 run then checks its dt against
+        solver1d.stable_dt of the initial state (a larger one could only
+        overflow), so a [time] error is reported only when every other
+        check has passed."""
         for section, key, path in _schema(self.model):
             allowed = _KINDS[self.model].get(path)
             if allowed and _lookup(self, path) not in allowed:
@@ -366,18 +369,21 @@ class SimConfig:
             if not all(a < b for a, b in zip(xs, xs[1:])):
                 raise ConfigError(f"[initial] u_breakpoints x must strictly "
                                   f"increase, got {', '.join(map(str, xs))}")
-        if 0 < self.material.tau0 < _TAU0_FLOOR:
-            raise ConfigError(
-                f"[material] tau0 = {self.material.tau0!r}: a positive "
-                f"tau0 must be at least {_TAU0_FLOOR:g} ms (0 gives "
-                f"Fourier conduction)")
         with _reraised("[material]"):
             case = self._mms_case() if self.needs_mms else None
-        forcing, state0 = self._forcing(case), self._initial_state(grid, case)
+        forcing = self._forcing(case)
+        state0 = self._initial_state(grid, case, forcing)
         with _reraised("[time]"):
-            return RunSetup(grid, self.material, self.bcs, forcing, state0,
-                            self.dt, self.t_end, self.output_interval,
-                            self.integrator)
+            setup = RunSetup(grid, self.material, self.bcs, forcing, state0,
+                             self.dt, self.t_end, self.output_interval,
+                             self.integrator)
+        if self.integrator == "rk4":
+            bound = solver1d.stable_dt(state0, grid, self.material)
+            if self.dt > bound:
+                raise ConfigError(
+                    f"[time] dt = {self.dt:.6g} ms exceeds the RK4 stable "
+                    f"step {bound:.6g} ms of the initial state")
+        return setup
 
     # -- resolution to runnable setups --------------------------------------
 
@@ -395,10 +401,12 @@ class SimConfig:
             _FORCING[fs.heat_kind](fs.heat_value, fs.heat_amplitude,
                                    fs.heat_rate, getattr(case, "heat", None)))
 
-    def _initial_state(self, grid: Grid1D, case) -> FieldState:
+    def _initial_state(self, grid: Grid1D, case, forcing) -> FieldState:
         """The state at t = 0 on grid with the end values the boundary
-        conditions hold; ConfigError where a field is not finite or theta
-        or k is not positive."""
+        conditions hold, and its theta_dot when tau0 > 0; ConfigError where
+        a field is not finite, theta or k is not positive, or C_v -
+        nu <eps_dot> is not positive (the tau0 = 0 heat equation does not
+        give theta_t there)."""
         x = grid.nodes()
         ini = self.initial
         # a field that overflows is refused below, by name
@@ -422,41 +430,22 @@ class SimConfig:
                 f"[material] conductivity k0 (1 + beta_tilde theta) falls to "
                 f"{k.min():g} at a node of the initial state; it must be "
                 f"positive")
-        return state
-
-    def resolve(self):
-        """The runnable setup that validate builds (RunSetup or
-        SlabRunSetup), with a full_1d start's theta_dot set for tau0 > 0.
-
-        A full_1d RK4 run whose dt exceeds solver1d.stable_dt of the
-        initial state is a ConfigError: it could only overflow.  So is an
-        initial state where C_v - nu <eps_dot> is not positive: the tau0 = 0
-        heat equation does not give theta_t there."""
-        setup = self._checked()
-        if self.model == "slab":
-            return setup
         consistent = (self.material.tau0 > 0
-                      and self.initial.theta_dot_kind == "consistent")
+                      and ini.theta_dot_kind == "consistent")
         if self.material.nu != 0.0 or consistent:
             # the tau0 = 0 energy equation at t = 0 gives theta_t only where
             # C_v - nu <eps_dot> > 0; its theta_t is the consistent theta_dot
+            f = solver1d._Rhs(grid, self.material.with_(tau0=0.0), self.bcs,
+                              forcing)
             try:
-                theta_t = solver1d.rhs(setup.state0, setup.grid,
-                                       self.material.with_(tau0=0.0),
-                                       self.bcs, setup.forcing, 0.0).theta
+                theta_t = f.unpack(f(f.pack(state), 0.0), 0.0).theta
             except IntegrationError as exc:
                 raise ConfigError(
                     f"[initial] the initial state has {exc.reason}") from exc
         if self.material.tau0 > 0:
-            setup.state0.theta_dot = (theta_t if consistent
-                                      else np.zeros_like(setup.state0.theta))
-        if self.integrator == "rk4":
-            bound = solver1d.stable_dt(setup.state0, setup.grid, self.material)
-            if self.dt > bound:
-                raise ConfigError(
-                    f"[time] dt = {self.dt:.6g} ms exceeds the RK4 stable "
-                    f"step {bound:.6g} ms of the initial state")
-        return setup
+            state.theta_dot = (theta_t if consistent
+                               else np.zeros_like(state.theta))
+        return state
 
 
 _DEFAULTS = SimConfig()
@@ -527,8 +516,8 @@ def write_config(config: SimConfig) -> str:
 def _read_config_text(text: str, overrides=()) -> SimConfig:
     """Parse INI text and apply `section.key=value` overrides.  The
     sections and keys must be those of the config's model and every value
-    must parse, but the config is not validated: load_config validates,
-    and `sma run` checks it once, in resolve."""
+    must parse, but the config is not checked as a whole: load_config and
+    `sma run` each check it once, in resolve."""
     if not text.strip():
         raise ConfigError("empty config; required keys: " + ", ".join(
             f"[{section}] {key}" for section, key in _REQUIRED))
@@ -597,8 +586,8 @@ def _read_file(path: str) -> str:
 
 
 def load_config(path: str) -> SimConfig:
-    """Read and validate an INI config file (SimConfig.validate; the RK4
-    stable-step and nu-degenerate start checks come with resolve)."""
+    """Read and validate an INI config file: ConfigError for exactly the
+    configs `sma run` refuses, with its message (SimConfig.validate)."""
     return _read_config_text(_read_file(path)).validate()
 
 

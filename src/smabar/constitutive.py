@@ -45,6 +45,13 @@ __all__ = [
 ]
 
 
+# Smallest positive tau0 (ms).  The theta_dot equation divides by tau0, so
+# near the double-precision limit its terms overflow (experiment1's implicit
+# step fails at tau0 = 1e-306); 1e-100 ms keeps 200 decades of head-room and
+# is still far below any physical relaxation time.
+_TAU0_FLOOR = 1e-100
+
+
 @dataclass(frozen=True)
 class MaterialParams1D:
     """Constitutive and transport constants of the 1D bar model.
@@ -83,6 +90,10 @@ class MaterialParams1D:
             raise ValueError("k2 and k3 must be non-negative")
         if self.tau0 < 0:
             raise ValueError("tau0 must be non-negative")
+        if 0 < self.tau0 < _TAU0_FLOOR:
+            raise ValueError(
+                f"tau0 = {self.tau0!r}: a positive tau0 must be at least "
+                f"{_TAU0_FLOOR:g} ms (0 gives Fourier conduction)")
         if self.mu < 0:
             raise ValueError("mu must be non-negative")
 

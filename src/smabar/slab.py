@@ -445,12 +445,12 @@ class SlabRunSetup:
     integrator = "rk4"      # a class constant, not a field
 
     def __post_init__(self):
-        _check_times(self)
         self.state0.validate()
         want = _grid_points(self.grid.length, self.grid.nx, self.ends).size
         if self.state0.U1.size != want:
             raise ValueError(f"state arrays must have {want} points for "
                              f"{self.ends} ends")
+        _check_times(self)   # last: a [time] error comes after the others
 
     @property
     def dx(self) -> float:

@@ -1,5 +1,7 @@
 """Config round-trips, presets, artifact layout and CLI behaviour."""
 
+import configparser
+import io
 import math
 import os
 import tempfile
@@ -362,9 +364,29 @@ def slab_configs(draw):
         reconstruct_y=st.lists(st.floats(-1.0, 1.0), max_size=4).map(tuple)))
 
 
+def _accepted(cfg, fraction):
+    """The full_1d config cfg moved to one that resolve accepts, its kinds
+    and integrator kept: nu = 0 where the drawn start makes C_v -
+    nu <eps_dot> non-positive, and for RK4 a dt at fraction of the start's
+    stable step, with t_end at most 10^6 such steps."""
+    try:
+        setup = replace(cfg, integrator="implicit_euler").resolve()
+    except ConfigError as exc:
+        assert "degenerate nu coupling" in str(exc)
+        cfg = replace(cfg, material=cfg.material.with_(nu=0.0))
+        setup = replace(cfg, integrator="implicit_euler").resolve()
+    if cfg.integrator != "rk4":
+        return cfg
+    dt = fraction * stable_dt(setup.state0, setup.grid, setup.params)
+    return replace(cfg, dt=dt, t_end=min(cfg.t_end, 1e6 * dt))
+
+
+ACCEPTED_FULL_1D = st.builds(_accepted, FULL_1D, st.floats(1e-3, 1.0))
+
+
 class TestConfigRoundTrip:
     @settings(max_examples=150, deadline=None)
-    @given(st.one_of(FULL_1D, slab_configs()))
+    @given(st.one_of(ACCEPTED_FULL_1D, slab_configs()))
     def test_write_read_write(self, cfg):
         text = write_config(cfg.validate())
         assert _read_config_text(text) == cfg
@@ -746,6 +768,78 @@ def _source(run, tmp):
     return ["--config", path]
 
 
+# One override of a shipped run (a preset or the SLAB config) that takes it
+# outside its model's validity, and what the config error says
+OUTSIDE_VALIDITY = [
+    ("mms", "material.mu=0.1", "tau0 = mu = nu = gamma = 0"),
+    ("mms", "material.gamma=1e-30", "gamma = 1e-30"),
+    ("conservation", "time.output_interval=1e-30", "1000000 snapshots"),
+    ("slab", "time.output_interval=1e-30", "1000000 snapshots"),
+    ("conservation", "time.output_interval=5e-324", "1000000 snapshots"),
+    ("experiment2", "material.tau0=1e-101", "tau0 = 1e-101"),
+    ("experiment2", "material.tau0=5e-324", "at least 1e-100 ms"),
+    ("conservation", "material.beta_tilde=-0.004",
+     "[material] conductivity k0 (1 + beta_tilde theta) falls to 0 at a "
+     "node of the initial state"),
+    ("experiment2", "material.beta_tilde=-0.004",
+     "conductivity k0 (1 + beta_tilde theta) falls to -0.00038"),
+    ("slab", "slab_initial.theta_prime_value=-400",
+     "[slab_initial] ThetaPrime must stay finite and above -300 K"),
+    ("conservation", "initial.u_breakpoints=1:0, 0.5:0.005, 0:0",
+     "[initial] u_breakpoints x must strictly increase, got 1.0, 0.5, "
+     "0.0"),
+    ("conservation", "initial.u_breakpoints=0:0, 0.5:0.005, 0.5:0, 1:0",
+     "[initial] u_breakpoints x must strictly increase"),
+    ("conservation", "time.dt=5e-324",
+     "[time] t_end/dt must be a finite step count"),
+    ("slab", "time.dt=1e-310",
+     "[time] t_end/dt must be a finite step count"),
+    ("slab", "slab.kappa=-0.019",
+     "[slab] kappa and c_bend must be non-negative"),
+    ("slab", "slab.c_bend=-991000",
+     "[slab] kappa and c_bend must be non-negative"),
+    ("conservation", "time.dt=1e-300",
+     "[time] t_end/dt asks for more than 1000000000 steps"),
+    ("slab", "time.dt=1e-300",
+     "[time] t_end/dt asks for more than 1000000000 steps"),
+    ("conservation", "model.kind=bar",
+     "[model] kind must be one of full_1d, slab"),
+    ("conservation", "phases.austenite_band=0",
+     "[phases] bands must satisfy 0 < austenite_band <= martensite_band"),
+    ("conservation", "initial.u_breakpoints=0:0",
+     "[initial] u_breakpoints needs at least two x:value pairs"),
+]
+OUTSIDE_VALIDITY_IDS = [
+    "mms_mu", "mms_gamma", "bar_snapshots", "slab_snapshots",
+    "snapshot_ratio_overflow",
+    "tau0_below_floor", "tau0_subnormal", "conductivity_zero",
+    "conductivity_negative", "slab_theta_prime",
+    "breakpoints_descending", "breakpoints_repeated",
+    "bar_step_count_overflow", "slab_step_count_overflow",
+    "slab_kappa_negative", "slab_c_bend_negative",
+    "bar_step_ceiling", "slab_step_ceiling", "unknown_model_kind",
+    "phase_bands", "single_breakpoint"]
+
+# a start where C_v - nu <eps_dot> is not positive, on experiment2
+NU_DEGENERATE = ["initial.v=sine", "initial.v_amplitude=5", "material.nu=50"]
+
+
+def _overridden_ini(run, overrides):
+    """INI text of run (a preset name or "slab") with each section.key=value
+    override written in, as sma run applies it."""
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_string(SLAB if run == "slab" else write_config(preset(run)))
+    for item in overrides:
+        key, value = item.split("=", 1)
+        section, option = key.split(".", 1)
+        if not cp.has_section(section):
+            cp.add_section(section)
+        cp.set(section, option, value)
+    out = io.StringIO()
+    cp.write(out)
+    return out.getvalue()
+
+
 class TestMain:
     def test_rk4_dt_above_stable_step_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -861,53 +955,8 @@ class TestMain:
                               f"{out!r}: ")
         assert "Traceback" not in err and path.read_text() == ""
 
-    @pytest.mark.parametrize("run, override, message", [
-        ("mms", "material.mu=0.1", "tau0 = mu = nu = gamma = 0"),
-        ("mms", "material.gamma=1e-30", "gamma = 1e-30"),
-        ("conservation", "time.output_interval=1e-30", "1000000 snapshots"),
-        ("slab", "time.output_interval=1e-30", "1000000 snapshots"),
-        ("conservation", "time.output_interval=5e-324", "1000000 snapshots"),
-        ("experiment2", "material.tau0=1e-101", "tau0 = 1e-101"),
-        ("experiment2", "material.tau0=5e-324", "at least 1e-100 ms"),
-        ("conservation", "material.beta_tilde=-0.004",
-         "[material] conductivity k0 (1 + beta_tilde theta) falls to 0 at a "
-         "node of the initial state"),
-        ("experiment2", "material.beta_tilde=-0.004",
-         "conductivity k0 (1 + beta_tilde theta) falls to -0.00038"),
-        ("slab", "slab_initial.theta_prime_value=-400",
-         "[slab_initial] ThetaPrime must stay finite and above -300 K"),
-        ("conservation", "initial.u_breakpoints=1:0, 0.5:0.005, 0:0",
-         "[initial] u_breakpoints x must strictly increase, got 1.0, 0.5, "
-         "0.0"),
-        ("conservation", "initial.u_breakpoints=0:0, 0.5:0.005, 0.5:0, 1:0",
-         "[initial] u_breakpoints x must strictly increase"),
-        ("conservation", "time.dt=5e-324",
-         "[time] t_end/dt must be a finite step count"),
-        ("slab", "time.dt=1e-310",
-         "[time] t_end/dt must be a finite step count"),
-        ("slab", "slab.kappa=-0.019",
-         "[slab] kappa and c_bend must be non-negative"),
-        ("slab", "slab.c_bend=-991000",
-         "[slab] kappa and c_bend must be non-negative"),
-        ("conservation", "time.dt=1e-300",
-         "[time] t_end/dt asks for more than 1000000000 steps"),
-        ("slab", "time.dt=1e-300",
-         "[time] t_end/dt asks for more than 1000000000 steps"),
-        ("conservation", "model.kind=bar",
-         "[model] kind must be one of full_1d, slab"),
-        ("conservation", "phases.austenite_band=0",
-         "[phases] bands must satisfy 0 < austenite_band <= martensite_band"),
-        ("conservation", "initial.u_breakpoints=0:0",
-         "[initial] u_breakpoints needs at least two x:value pairs"),
-    ], ids=["mms_mu", "mms_gamma", "bar_snapshots", "slab_snapshots",
-            "snapshot_ratio_overflow",
-            "tau0_below_floor", "tau0_subnormal", "conductivity_zero",
-            "conductivity_negative", "slab_theta_prime",
-            "breakpoints_descending", "breakpoints_repeated",
-            "bar_step_count_overflow", "slab_step_count_overflow",
-            "slab_kappa_negative", "slab_c_bend_negative",
-            "bar_step_ceiling", "slab_step_ceiling", "unknown_model_kind",
-            "phase_bands", "single_breakpoint"])
+    @pytest.mark.parametrize("run, override, message", OUTSIDE_VALIDITY,
+                             ids=OUTSIDE_VALIDITY_IDS)
     def test_outside_validity_is_config_error(self, tmp_path, capsys, run,
                                               override, message):
         source = _source(run, str(tmp_path))
@@ -917,6 +966,30 @@ class TestMain:
         err = capsys.readouterr().err
         assert "config error:" in err and message in err
         assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("run, overrides", [
+        *((run, [override]) for run, override, _ in OUTSIDE_VALIDITY),
+        ("conservation", ["time.dt=0.002"]),
+        ("experiment2", NU_DEGENERATE + ["material.tau0=0.01"]),
+        ("experiment2", NU_DEGENERATE + ["material.tau0=0.01",
+                                         "initial.theta_dot=zero"]),
+    ], ids=OUTSIDE_VALIDITY_IDS + ["rk4_stable_step",
+                                   "nu_degenerate_theta_dot_consistent",
+                                   "nu_degenerate_theta_dot_zero"])
+    def test_load_config_refuses_what_sma_run_refuses(self, tmp_path, capsys,
+                                                      run, overrides):
+        """load_config makes sma run's one check: the overridden config,
+        written to an INI, is refused with the message sma run prints."""
+        argv = ["run", *_source(run, str(tmp_path)),
+                "--out", str(tmp_path / "o")]
+        assert main(argv + [a for o in overrides
+                            for a in ("--override", o)]) == 1
+        printed = capsys.readouterr().err
+        path = tmp_path / "overridden.ini"
+        path.write_text(_overridden_ini(run, overrides))
+        with pytest.raises(ConfigError) as exc:
+            load_config(str(path))
+        assert printed == f"config error: {exc.value}\n"
 
     @pytest.mark.parametrize("run, overrides, message", [
         ("slab", ["slab_initial.u1=sine", "slab_initial.u1_value=1.7e308",
@@ -959,16 +1032,16 @@ class TestMain:
     ])
     def test_run_checks_its_config_once(self, tmp_path, capsys, monkeypatch,
                                         run, overrides):
-        """sma run reads a config without validating it and builds the
-        run's setup once, in resolve."""
+        """sma run reads a config without checking it and checks it and
+        builds the run's setup once, in resolve."""
         calls = []
-        checked = SimConfig._checked
+        resolve = SimConfig.resolve
 
         def counting(self):
             calls.append(self.model)
-            return checked(self)
+            return resolve(self)
 
-        monkeypatch.setattr(SimConfig, "_checked", counting)
+        monkeypatch.setattr(SimConfig, "resolve", counting)
         argv = ["run", *_source(run, str(tmp_path)),
                 "--out", str(tmp_path / "o")]
         assert main(argv + [a for o in overrides
@@ -1005,22 +1078,31 @@ class TestMain:
                             for a in ("--override", o)]) == 0
         assert sorted(calls) == ["grid", "times"]
 
-    @pytest.mark.parametrize("run", ["conservation", "slab"])
+    @pytest.mark.parametrize("run, broken", [
+        ("conservation", ["phases.austenite_band=0"]),
+        ("slab", ["grid.nx=100"]),
+        ("slab", ["slab_initial.theta_prime_value=-400"]),
+        ("experiment2", NU_DEGENERATE + ["material.tau0=0.01"]),
+    ], ids=["conservation", "slab", "slab_start", "nu_degenerate_start"])
     def test_time_error_comes_after_the_other_config_checks(self, tmp_path,
-                                                            capsys, run):
-        """The setup checks its own times as it is built, so a config
-        error found before that is the one reported; alone, a broken time
-        is a [time] error."""
-        broken = {"conservation": "phases.austenite_band=0",
-                  "slab": "grid.nx=100"}[run]
+                                                            capsys, run,
+                                                            broken):
+        """Each setup checks its own times as it is built, after its start
+        state, so a config error found before that is the one reported, as
+        it is without the broken time; alone, a broken time is a [time]
+        error."""
         argv = ["run", *_source(run, str(tmp_path)),
-                "--out", str(tmp_path / "o"), "--override", "time.dt=-1"]
-        assert main(argv + ["--override", broken]) == 1
-        both = capsys.readouterr().err
-        assert main(argv) == 1
-        alone = capsys.readouterr().err
-        assert "config error: [time] dt must be positive" in alone
-        assert "[time]" not in both and "config error:" in both
+                "--out", str(tmp_path / "o")]
+
+        def error(overrides):
+            assert main(argv + [a for o in overrides
+                                for a in ("--override", o)]) == 1
+            return capsys.readouterr().err
+
+        both = error(broken + ["time.dt=-1"])
+        assert "[time]" not in both and both == error(broken)
+        assert error(["time.dt=-1"]) == ("config error: [time] dt must be "
+                                         "positive\n")
 
     @pytest.mark.parametrize("ambient", ["-50", "0"])
     def test_non_positive_ambient_is_config_error(self, tmp_path, capsys,
@@ -1061,8 +1143,7 @@ class TestMain:
         the consistent theta_dot) only where C_v - nu <eps_dot> > 0; a start
         that fails this is refused, whatever tau0 and theta_dot are."""
         out = tmp_path / "o"
-        overrides = ("initial.v=sine", "initial.v_amplitude=5",
-                     "material.nu=50") + rate
+        overrides = NU_DEGENERATE + list(rate)
         assert main(["run", "--preset", "experiment2", "--out", str(out)]
                     + [a for o in overrides for a in ("--override", o)]) == 1
         err = capsys.readouterr().err
@@ -1104,9 +1185,10 @@ class TestMain:
         10^6 and refuses a larger one, and validate rejects exactly those
         runs (the 1e-9 round-off allowance takes the ratio one float below
         10^6 as 10^6).  dt = 1 keeps the step count below its own 10^9
-        ceiling."""
+        ceiling, on an implicit integrator: RK4 refuses a dt above its
+        stable step."""
         cfg = replace(preset("conservation"), t_end=t_end, dt=1.0,
-                      output_interval=1.0)
+                      output_interval=1.0, integrator="implicit_euler")
         if count > 10**6:
             with pytest.raises(ValueError, match="than 1000000 snapshots"):
                 solver1d._snapshot_count(t_end, 1.0)

@@ -165,6 +165,17 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             MaterialParams1D(**bad)
 
+    def test_positive_tau0_below_the_floor_rejected(self):
+        """The theta_dot equation divides by tau0, so a positive tau0 below
+        1e-100 ms is refused wherever the parameters are built; 0 and the
+        floor itself are accepted."""
+        with pytest.raises(ValueError, match=r"^tau0 = 1e-101: a positive "
+                           r"tau0 must be at least 1e-100 ms \(0 gives "
+                           r"Fourier conduction\)$"):
+            MaterialParams1D(tau0=1e-101)
+        assert MaterialParams1D(tau0=1e-100).tau0 == 1e-100
+        assert MaterialParams1D(tau0=0.0).tau0 == 0.0
+
     def test_strain_energy_is_psi3(self):
         e = 0.11809
         expected = (-0.5 * P.alpha2 * P.theta1 * e ** 2
