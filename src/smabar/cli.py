@@ -320,11 +320,12 @@ class SimConfig:
         and `sma run` all make it.  A slab config ignores the bar's fields,
         [phases] and [initial] among them.
 
-        The setup checks its own times as it is built, after the start
-        state, and a full_1d RK4 run then checks its dt against
-        solver1d.stable_dt of the initial state (a larger one could only
-        overflow), so a [time] error is reported only when every other
-        check has passed."""
+        The start state is checked, its tangent modulus by
+        solver1d.stable_dt among the rest, before the setup checks its own
+        times as it is built, and a full_1d RK4 run then checks its dt
+        against that stable step (a larger one could only overflow), so a
+        [time] error is reported only when every other check has
+        passed."""
         for section, key, path in _schema(self.model):
             allowed = _KINDS[self.model].get(path)
             if allowed and _lookup(self, path) not in allowed:
@@ -373,16 +374,17 @@ class SimConfig:
             case = self._mms_case() if self.needs_mms else None
         forcing = self._forcing(case)
         state0 = self._initial_state(grid, case, forcing)
+        # stable_dt refuses a start whose tangent modulus is not finite
+        with _reraised("[initial]"):
+            bound = solver1d.stable_dt(state0, grid, self.material)
         with _reraised("[time]"):
             setup = RunSetup(grid, self.material, self.bcs, forcing, state0,
                              self.dt, self.t_end, self.output_interval,
                              self.integrator)
-        if self.integrator == "rk4":
-            bound = solver1d.stable_dt(state0, grid, self.material)
-            if self.dt > bound:
-                raise ConfigError(
-                    f"[time] dt = {self.dt:.6g} ms exceeds the RK4 stable "
-                    f"step {bound:.6g} ms of the initial state")
+        if self.integrator == "rk4" and self.dt > bound:
+            raise ConfigError(
+                f"[time] dt = {self.dt:.6g} ms exceeds the RK4 stable "
+                f"step {bound:.6g} ms of the initial state")
         return setup
 
     # -- resolution to runnable setups --------------------------------------
@@ -404,9 +406,9 @@ class SimConfig:
     def _initial_state(self, grid: Grid1D, case, forcing) -> FieldState:
         """The state at t = 0 on grid with the end values the boundary
         conditions hold, and its theta_dot when tau0 > 0; ConfigError where
-        a field is not finite, theta or k is not positive, or C_v -
-        nu <eps_dot> is not positive (the tau0 = 0 heat equation does not
-        give theta_t there)."""
+        a field or the strain diff(u)/dx is not finite, theta or k is not
+        positive, or C_v - nu <eps_dot> is not positive (the tau0 = 0 heat
+        equation does not give theta_t there)."""
         x = grid.nodes()
         ini = self.initial
         # a field that overflows is refused below, by name
@@ -419,6 +421,12 @@ class SimConfig:
             if not np.isfinite(getattr(state, name)).all():
                 raise ConfigError(f"[initial] {name} = {getattr(ini, key)} is "
                                   f"not finite at every node")
+        with np.errstate(over="ignore", invalid="ignore"):
+            strain = state.strain(grid)
+        if not np.isfinite(strain).all():
+            raise ConfigError(f"[initial] u = {ini.u_kind} gives a strain "
+                              f"diff(u)/dx that is not finite at every "
+                              f"midpoint")
         if not (state.theta > 0).all():
             raise ConfigError(
                 f"[initial] theta = {ini.theta_kind} falls to "

@@ -167,9 +167,20 @@ def equilibrium_stress(p: MaterialParams1D, theta, eps):
 
 def _equilibrium_stress(p: MaterialParams1D, theta, eps):
     """equilibrium_stress of float arrays, without its argument checks: the
-    bar solver's right-hand side calls it on every evaluation."""
+    bar solver's right-hand side calls it on every evaluation.
+
+    eps (k1 (theta - theta1) + e2 (-k2 + e2 k3)), e2 = eps^2, in that
+    order of operations, on four temporaries; the result has the
+    broadcast shape of theta and eps."""
     e2 = eps * eps
-    return eps * (p.k1 * (theta - p.theta1) + e2 * (-p.k2 + e2 * p.k3))
+    quartic = e2 * p.k3
+    quartic -= p.k2
+    quartic *= e2
+    s = theta - p.theta1
+    s *= p.k1
+    s = s + quartic
+    s *= eps
+    return s
 
 
 def entropy(p: MaterialParams1D, theta, eps):

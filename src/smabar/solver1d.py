@@ -263,9 +263,11 @@ class _Rhs:
     z is one state of shape (n,) or a stack of B states of shape (B, n),
     all at the same time t.  A call has two stages.
 
-    Midpoint stage: strided differences of z give eps, eps_dot and theta_m
+    Midpoint stage: one difference of z with itself shifted by a node
+    gives eps and eps_dot (as strided views), a strided sum gives theta_m
     at the nx midpoints, and from them the stress s (with mu eps_dot, and
-    with nu <theta_dot> when tau0 > 0 stores theta_dot).
+    with nu <theta_dot> when tau0 > 0 stores theta_dot).  Temporaries are
+    updated in place, in the order of operations of the formulas.
 
     Node stage: each of the n derivatives is a weighted sum of at most
     five entries of q = [s, theta_m eps eps_dot, z], plus a forcing
@@ -417,7 +419,7 @@ class _Rhs:
     def check(self, z: np.ndarray, t: float):
         """IntegrationError(t) when a temperature of the packed state z, or
         its C_v - nu <eps_dot> (_cv_n), is not positive; reads views of z."""
-        if (z[2::self.nf] <= 0).any():
+        if np.logical_or.reduce(z[2::self.nf] <= 0):
             raise IntegrationError(t, "non-positive temperature")
         if self.p.nu != 0.0:
             v = z[1::self.nf]
@@ -436,13 +438,13 @@ class _Rhs:
         """Whether the packed state z is finite, with every theta above
         _THETA_FLOOR and every |eps| below _EPS_CEIL: an implicit solve
         that ends elsewhere found a spurious root."""
-        if not np.isfinite(z).all():
+        if not np.logical_and.reduce(np.isfinite(z)):
             return False
-        Z = z.reshape(-1, self.nf)
-        if Z[:, 2].min() <= _THETA_FLOOR:
+        if np.minimum.reduce(z[2::self.nf]) <= _THETA_FLOOR:
             return False
-        u = Z[:, 0]
-        return abs(u[1:] - u[:-1]).max() / self.grid.dx < _EPS_CEIL
+        u = z[::self.nf]
+        return (np.maximum.reduce(abs(u[1:] - u[:-1])) / self.grid.dx
+                < _EPS_CEIL)
 
     def diag(self, state: FieldState) -> tuple:
         """Diagnostics row (t, total energy, max |eps|, theta_min,
@@ -454,17 +456,16 @@ class _Rhs:
     # -- physics ------------------------------------------------------------
 
     def _forcing(self, t: float) -> np.ndarray:
-        """The node stage's forcing vector at time t, from a one-entry memo
-        keyed on t."""
-        if self._memo[0] != t:
-            vec = np.zeros(self.nn * self.nf)
-            rows = vec.reshape(self.nn, self.nf)
-            rows[:, 1] = self.forcing.body(self.x, t) * self._body_w
-            rows[:, self._heat] = self.forcing.heat(self.x, t) * self._heat_w
-            if self._ambient_w is not None:
-                rows[-1, self._heat] += self._ambient_w * self.bcs.ambient(t)
-            self._memo = (t, vec)
-        return self._memo[1]
+        """The node stage's forcing vector at time t, kept with t as the
+        one-entry memo that _stages reads first."""
+        vec = np.zeros(self.nn * self.nf)
+        rows = vec.reshape(self.nn, self.nf)
+        rows[:, 1] = self.forcing.body(self.x, t) * self._body_w
+        rows[:, self._heat] = self.forcing.heat(self.x, t) * self._heat_w
+        if self._ambient_w is not None:
+            rows[-1, self._heat] += self._ambient_w * self.bcs.ambient(t)
+        self._memo = (t, vec)
+        return vec
 
     def _conduction(self, th: np.ndarray, t: float) -> np.ndarray:
         """d/dx(k(theta) dtheta/dx) at the nodes, for a k that varies with
@@ -496,23 +497,33 @@ class _Rhs:
         """(Z, eps, deps, th_m, s, dz): z as (..., nn, nf), the midpoint
         terms and stress, and dz, complete but for the tau0 relaxation of
         the theta_dot rows."""
-        p, nf, dxi = self.p, self.nf, self.dxi
+        p, nf = self.p, self.nf
         Z = z.reshape(z.shape[:-1] + (self.nn, nf))
-        rates = (Z[..., 1:, :2] - Z[..., :-1, :2]) * dxi
-        eps, deps = rates[..., 0], rates[..., 1]
+        # every field's difference of neighbouring nodes over dx, taken on
+        # z's flat layout; eps and eps_dot are those of u and v
+        rates = z[..., nf:] - z[..., :-nf]
+        rates *= self.dxi
+        eps, deps = rates[..., 0::nf], rates[..., 1::nf]
         th = Z[..., 2]
-        th_m = 0.5 * (th[..., 1:] + th[..., :-1])
+        th_m = th[..., 1:] + th[..., :-1]
+        th_m *= 0.5
         s = _equilibrium_stress(p, th_m, eps)
         if p.mu != 0.0:
-            s = s + p.mu * deps
+            s += p.mu * deps
         if nf == 4 and p.nu != 0.0:
             w = Z[..., 3]
-            s = s + p.nu * 0.5 * (w[..., 1:] + w[..., :-1])
+            w_m = w[..., 1:] + w[..., :-1]
+            w_m *= p.nu * 0.5
+            s += w_m
 
-        q = np.concatenate((s, th_m * eps * deps, z), axis=-1)
-        dz = np.add.reduce(q.take(self._taps, axis=-1) * self._weights,
-                           axis=-2)
-        dz += self._forcing(t)
+        coupling = th_m * eps
+        coupling *= deps
+        q = np.concatenate((s, coupling, z), axis=-1)
+        terms = q.take(self._taps, axis=-1)
+        terms *= self._weights
+        dz = np.add.reduce(terms, axis=-2)
+        memo_t, forcing = self._memo
+        dz += forcing if memo_t == t else self._forcing(t)
         dZ = dz.reshape(Z.shape)
         if self._k is None:
             dZ[..., self._heat] += self._conduction(th, t) * self._heat_w
@@ -524,11 +535,13 @@ class _Rhs:
             # the stress's nu <theta_t> adds its divergence to the v rows
             heat = dZ[..., 2]
             heat *= p.cv / self._cv_n(deps, t)[1]
-            rate = p.nu * 0.5 * (heat[..., 1:] + heat[..., :-1])
-            s = s + rate
+            rate = heat[..., 1:] + heat[..., :-1]
+            rate *= p.nu * 0.5
+            s += rate
             taps, weights = self._taps[:2, 1::nf], self._weights[:2, 1::nf]
-            dZ[..., 1] += np.add.reduce(rate.take(taps, axis=-1) * weights,
-                                        axis=-2)
+            terms = rate.take(taps, axis=-1)
+            terms *= weights
+            dZ[..., 1] += np.add.reduce(terms, axis=-2)
         if p.gamma != 0.0:
             dZ[..., 1:-1, 1] += (self._gamma / p.rho) * _fourth_difference(
                 Z[..., 0], self.grid.dx)[..., 1:-1]
@@ -619,12 +632,19 @@ def stable_dt(state: FieldState, grid: Grid1D,
     part: dt <= 2.785 tau0 when the auxiliary theta_dot field is present.
     Note the full tangent modulus matters: near the martensite wells the
     quintic term dominates and the naive bound sqrt(k1 |theta - theta1|/rho)
-    badly underestimates the wave speed.
+    badly underestimates the wave speed.  A tangent modulus that is not
+    finite at every midpoint (a strain so large that a power of it
+    overflows) is a ValueError: it bounds no step.
     """
-    eps = state.strain(grid)
-    th_m = 0.5 * (state.theta[1:] + state.theta[:-1])
-    sprime = params.k1 * (th_m - params.theta1) - 3.0 * params.k2 * eps ** 2 \
-        + 5.0 * params.k3 * eps ** 4
+    with np.errstate(over="ignore", invalid="ignore"):
+        eps = state.strain(grid)
+        th_m = 0.5 * (state.theta[1:] + state.theta[:-1])
+        sprime = (params.k1 * (th_m - params.theta1)
+                  - 3.0 * params.k2 * eps ** 2 + 5.0 * params.k3 * eps ** 4)
+    if not np.isfinite(sprime).all():
+        raise ValueError("the tangent modulus k1 (theta - theta1) - "
+                         "3 k2 eps^2 + 5 k3 eps^4 of the state is not "
+                         "finite at every midpoint")
     c2 = max(float(np.max(sprime)), 0.0) / params.rho
     dx = grid.dx
     bounds = []
@@ -650,13 +670,28 @@ class _Rk4Stepper:
         self.nfe = 0
 
     def advance(self, z: np.ndarray, t: float, dt: float) -> np.ndarray:
-        f = self.f
+        """z + (dt/6) (k1 + 2 k2 + 2 k3 + k4), in that order of operations;
+        f must return a new array, which the step then overwrites."""
+        f, half = self.f, 0.5 * dt
         self.nfe += 4
         k1 = f(z, t)
-        k2 = f(z + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = f(z + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = f(z + dt * k3, t + dt)
-        return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = k1 * half
+        y += z
+        k2 = f(y, t + half)
+        y = k2 * half
+        y += z
+        k3 = f(y, t + half)
+        y = k3 * dt
+        y += z
+        k4 = f(y, t + dt)
+        k2 *= 2.0
+        k2 += k1
+        k3 *= 2.0
+        k2 += k3
+        k2 += k4
+        k2 *= dt / 6.0
+        k2 += z
+        return k2
 
 
 @cache
@@ -702,26 +737,18 @@ def _band_lu(ab: np.ndarray, hb: int):
     return (lu, piv) if info == 0 else None
 
 
-def _band_solve(factors, hb: int, b: np.ndarray) -> Optional[np.ndarray]:
-    """x with a x = b from _band_lu's factors of a; None when b or x is
-    not finite (a non-finite entry of b leaves one in x: the triangular
-    solves carry it through)."""
-    x, info = _lapack()[1](factors[0], hb, hb, b, factors[1])
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of gbtrs")
-    return x if np.isfinite(x).all() else None
-
-
 class _ImplicitStepper:
     """Fixed-step implicit Euler / midpoint with damped banded Newton.
 
     The stepper knows nothing of the state's layout: its right-hand side f
-    supplies f(z, t), for a state z or a stack of them, and the four
-    members that describe z, which _Rhs owns for the bar: half_bw, the
-    half-bandwidth of the Jacobian; scale, the size of a negligible
-    increment of each entry (increment and residual norms are max |r| /
-    scale); row_weights(dt), the row weights D of a step of size dt (None
-    when D = I); and plausible(z), whether a solution is acceptable.
+    supplies f(z, t), for a state z or a stack of them, as a new array
+    (the stepper overwrites it), and the four members that describe z,
+    which _Rhs owns for the bar: half_bw, the half-bandwidth of the
+    Jacobian; scale, the size of a negligible increment of each entry
+    (increment and residual norms are max |r| / scale, each taken in one
+    pass with the solve or residual it norms); row_weights(dt), the row
+    weights D of a step of size dt (None when D = I); and plausible(z),
+    whether a solution is acceptable.
 
     The Jacobian is assembled by coloured finite differences in banded
     storage: z and its 2 hb + 1 coloured perturbations form one (2 hb + 2,
@@ -746,14 +773,21 @@ class _ImplicitStepper:
         self.f = f
         self.kind = kind
         # band entry (hb + o, j) holds row j + o of column j where that row
-        # exists; _banded_jacobian fills all of them in one scatter
+        # exists; _banded_jacobian fills all of them in one scatter, from
+        # the differences df of shape (2 hb + 1, n) at the flat index
+        # _gather.  Column j has colour j % (2 hb + 1), and its perturbed
+        # entry sits at the flat index _perturb of the (2 hb + 2, n) stack.
         hb, n = f.half_bw, f.scale.size
         cols = np.arange(n)
         rows = cols + np.arange(-hb, hb + 1)[:, None]
         self._in_band = (rows >= 0) & (rows < n)
         self._band_rows = rows[self._in_band]
         self._band_cols = np.broadcast_to(cols, rows.shape)[self._in_band]
-        self._colour = cols % (2 * hb + 1)
+        colour = cols % (2 * hb + 1)
+        self._gather = colour[self._band_cols] * n + self._band_rows
+        self._perturb = (1 + colour) * n + cols
+        # increment and residual norms are taken in this buffer
+        self._buf = np.empty(n)
         self.lu = None
         # work counters; fallbacks counts chord iterations that gave way to
         # damped Newton
@@ -767,24 +801,42 @@ class _ImplicitStepper:
     # -- helpers -----------------------------------------------------------
 
     def _norm(self, r: np.ndarray) -> float:
-        val = float((np.abs(r) / self.f.scale).max())
-        return val if val < np.inf else np.inf      # nan -> inf
+        """max |r| / scale, inf when that is nan."""
+        buf = self._buf
+        np.abs(r, out=buf)
+        np.divide(buf, self.f.scale, out=buf)
+        val = float(np.maximum.reduce(buf))
+        return val if val < np.inf else np.inf
+
+    def _increment(self, factors, r: np.ndarray):
+        """(dz, _norm(dz)) for the increment dz = -a^-1 r, from _band_lu's
+        factors of a, or None when dz is not finite (a non-finite entry of r
+        leaves one in dz: the triangular solves carry it through).  Only an
+        infinite norm, which every non-finite dz has, is followed by the
+        entry-by-entry test: a finite dz whose scaled norm overflows is
+        returned with norm inf."""
+        hb = self.f.half_bw
+        x, info = _lapack()[1](factors[0], hb, hb, -r, factors[1],
+                               overwrite_b=True)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of gbtrs")
+        dn = self._norm(x)
+        if dn == np.inf and not np.logical_and.reduce(np.isfinite(x)):
+            return None
+        return x, dn
 
     def _banded_jacobian(self, z: np.ndarray, t: float) -> np.ndarray:
-        f, hb = self.f, self.f.half_bw
-        n = z.size
-        ncol = 2 * hb + 1
+        ncol = 2 * self.f.half_bw + 1
         h = 1e-7 * np.maximum(np.abs(z), 1.0)
-        # row 0 is z, row 1 + c is z with every column of colour c perturbed
-        # (column j has colour j % ncol); one call evaluates all the rows
+        # row 0 is z, row 1 + c is z with every column of colour c
+        # perturbed; one call evaluates all the rows
         zs = np.tile(z, (ncol + 1, 1))
-        zs[1 + self._colour, np.arange(n)] += h
-        fs = f(zs, t)
+        zs.reshape(-1)[self._perturb] += h
+        fs = self.f(zs, t)
         self.nfe += ncol + 1
         df = fs[1:] - fs[0]
-        cols = self._band_cols
-        ab = np.zeros((ncol, n))
-        ab[self._in_band] = df[cols % ncol, self._band_rows] / h[cols]
+        ab = np.zeros((ncol, z.size))
+        ab[self._in_band] = df.take(self._gather) / h.take(self._band_cols)
         return ab
 
     def _system_matrix(self, z: np.ndarray, t: float, dt: float):
@@ -808,9 +860,9 @@ class _ImplicitStepper:
 
     def _stage(self, z: np.ndarray, t: float, dt: float):
         """(resid, matrix) of the step from (z, t): the row-weighted
-        residual of zg and the _system_matrix factors, both taken at the
-        stage point of zg, which is zg at t + dt for implicit Euler and
-        0.5 (z + zg) at t + dt/2 for the midpoint rule."""
+        residual of zg with its norm, and the _system_matrix factors, both
+        taken at the stage point of zg, which is zg at t + dt for implicit
+        Euler and 0.5 (z + zg) at t + dt/2 for the midpoint rule."""
         f, d = self.f, self.f.row_weights(dt)
         if self.kind == "implicit_euler":
             point, ts = (lambda zg: zg), t + dt
@@ -818,9 +870,15 @@ class _ImplicitStepper:
             point, ts = (lambda zg: 0.5 * (z + zg)), t + 0.5 * dt
 
         def resid(zg):
+            """(r, _norm(r)) of zg: D (zg - z - dt f(point(zg), ts))."""
             self.nfe += 1
-            r = zg - z - dt * f(point(zg), ts)
-            return r if d is None else r * d
+            fz = f(point(zg), ts)
+            fz *= dt
+            r = zg - z
+            r -= fz
+            if d is not None:
+                r *= d
+            return r, self._norm(r)
 
         return resid, lambda zg: self._system_matrix(point(zg), ts, dt)
 
@@ -855,22 +913,20 @@ class _ImplicitStepper:
             # rate dn / dn_prev exceeds THETA_REFRESH
             if self.lu is not None:
                 zg = z.copy()
-                r = resid(zg)
-                rn = self._norm(r)
+                r, rn = resid(zg)
                 dn_prev, refreshed = np.inf, False
                 for _ in range(25):
-                    dz = _band_solve(self.lu, self.f.half_bw, -r)
+                    inc = self._increment(self.lu, r)
                     self.solves += 1
-                    if dz is None:
+                    if inc is None:
                         break
-                    zg = zg + dz
-                    dn = self._norm(dz)
+                    dz, dn = inc
+                    zg += dz
                     if self._converged(dn, dn_prev):
                         if self.f.plausible(zg):
                             return zg
                         break
-                    r = resid(zg)
-                    rtn = self._norm(r)
+                    r, rtn = resid(zg)
                     if not rtn < rn:
                         break
                     rn = rtn
@@ -891,26 +947,25 @@ class _ImplicitStepper:
             # caller halve the step, which shrinks the nonlinear update
             # superlinearly.
             zg = z.copy()
-            r = resid(zg)
-            rn = self._norm(r)
+            r, rn = resid(zg)
             damped = 0
             for _ in range(15):
                 lu = matrix(zg)
                 if lu is None:
                     return None
-                dz = _band_solve(lu, self.f.half_bw, -r)
+                inc = self._increment(lu, r)
                 self.solves += 1
-                if dz is None:
+                if inc is None:
                     return None
                 self.lu = lu             # cache for the next step's fast path
-                if self._converged(self._norm(dz)):
+                dz, dn = inc
+                if self._converged(dn):
                     zg = zg + dz
                     return zg if self.f.plausible(zg) else None
                 lam, accepted = 1.0, False
                 for _ in range(6):
                     zt = zg + lam * dz
-                    rt = resid(zt)
-                    rtn = self._norm(rt)
+                    rt, rtn = resid(zt)
                     if rtn < rn:
                         zg, r, rn = zt, rt, rtn
                         accepted = True
@@ -967,7 +1022,7 @@ def _stepper(f, integrator: str):
 def _accept(z: np.ndarray, t: float, check):
     """IntegrationError(t) when the state z a step ended in at time t has
     values that are not finite or that check(z, t) rejects."""
-    if not np.isfinite(z).all():
+    if not np.logical_and.reduce(np.isfinite(z), axis=None):
         raise IntegrationError(t, "non-finite values (stability violation)")
     check(z, t)
 

@@ -1000,14 +1000,24 @@ class TestMain:
                           "initial.theta_amplitude=1e308"],
          "config error: [initial] theta = cosine is not finite at every "
          "node"),
-    ], ids=["slab", "bar"])
+        ("conservation", ["initial.u=sine", "initial.u_amplitude=1.7e308"],
+         "config error: [initial] u = sine gives a strain diff(u)/dx that "
+         "is not finite at every midpoint"),
+        *((run, ["initial.u=sine", "initial.u_amplitude=1e307",
+                 "time.t_end=0.001"],
+           "config error: [initial] the tangent modulus k1 (theta - theta1) "
+           "- 3 k2 eps^2 + 5 k3 eps^4 of the state is not finite at every "
+           "midpoint") for run in ("conservation", "experiment1")),
+    ], ids=["slab", "bar", "bar_strain", "bar_modulus_rk4",
+            "bar_modulus_implicit"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_start_is_config_error(self, tmp_path, capsys, run,
                                               overrides, message):
-        """Finite parameters whose start field overflows are refused by
-        the field's name before anything is written, not stored as
-        snapshot 0 or reported as a conductivity of nan, and without a
-        RuntimeWarning."""
+        """Finite parameters whose start field, strain or tangent modulus
+        overflows are refused by name before anything is written, not
+        stored as snapshot 0 or reported as a conductivity of nan, and
+        without a RuntimeWarning: a strain of 3e307 is finite, but its
+        powers in the modulus (and the stress) are not."""
         out = tmp_path / "o"
         argv = ["run", *_source(run, str(tmp_path)), "--out", str(out)]
         assert main(argv + [a for o in overrides

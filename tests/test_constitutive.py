@@ -9,9 +9,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smabar.constitutive import (
     MaterialParams1D,
+    _equilibrium_stress,
     conductivity,
     cu_based,
     entropy,
@@ -82,6 +84,31 @@ class TestEquilibriumStress:
         s_rho = equilibrium_stress(P, theta, eps) / P.rho
         err = np.abs(s_rho - fd)
         assert np.all(err <= 1e-6 * np.maximum(1.0, np.abs(s_rho)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 9),
+           m=st.integers(1, 4),
+           shape=st.sampled_from(["same", "column", "scalar"]),
+           k2=st.sampled_from([0.0, 6.0e6, 3.3e7]),
+           k3=st.sampled_from([0.0, 4.5e8, 1.2e9]))
+    def test_in_place_form_is_bitwise_the_expression(self, seed, k, m,
+                                                     shape, k2, k3):
+        """_equilibrium_stress, written on in-place temporaries, gives the
+        bits of eps (k1 (theta - theta1) + e2 (-k2 + e2 k3)) and its
+        broadcast shape: theta and eps of one shape, theta of shape (m, 1)
+        against eps of shape (k,), and a scalar theta."""
+        rng = np.random.default_rng(seed)
+        p = P.with_(k2=k2, k3=k3)
+        eps = rng.uniform(-0.2, 0.2, k)
+        theta = {"same": rng.uniform(150.0, 400.0, k),
+                 "column": rng.uniform(150.0, 400.0, (m, 1)),
+                 "scalar": np.float64(rng.uniform(150.0, 400.0))}[shape]
+        e2 = eps * eps
+        want = eps * (p.k1 * (theta - p.theta1) + e2 * (-p.k2 + e2 * p.k3))
+        got = _equilibrium_stress(p, theta, eps)
+        assert got.shape == np.broadcast_shapes(np.shape(theta), eps.shape)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(equilibrium_stress(p, theta, eps), want)
 
 
 class TestEntropy:

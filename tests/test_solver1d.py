@@ -25,7 +25,6 @@ from smabar.solver1d import (
     _EPS_CEIL,
     _THETA_FLOOR,
     _band_lu,
-    _band_solve,
     _ImplicitStepper,
     _node_average,
     _Rhs,
@@ -418,6 +417,21 @@ def _lu_storage(ab, hb):
     return np.vstack([np.zeros((hb, ab.shape[1])), ab])
 
 
+class _Band:
+    """What _ImplicitStepper._increment reads of its right-hand side: the
+    half-bandwidth and the scale of the norm."""
+
+    def __init__(self, hb, scale):
+        self.half_bw = hb
+        self.scale = scale
+
+
+def _solver(hb, n, scale=1e-2):
+    """A stepper whose _increment solves with hb-banded factors of order n
+    and norms with scale."""
+    return _ImplicitStepper(_Band(hb, np.full(n, scale)), "implicit_euler")
+
+
 class TestImplicitSolver:
     @pytest.mark.parametrize("mech, thermal, changed", JACOBIAN_CASES,
                              ids=JACOBIAN_IDS)
@@ -478,8 +492,36 @@ class TestImplicitSolver:
     @given(dominant_bands())
     def test_factor_solve_matches_solve_banded(self, drawn):
         hb, ab, b = drawn
-        x = _band_solve(_band_lu(_lu_storage(ab, hb), hb), hb, b)
+        x, _ = _solver(hb, b.size)._increment(
+            _band_lu(_lu_storage(ab, hb), hb), -b)
         np.testing.assert_array_equal(x, solve_banded((hb, hb), ab, b))
+
+    @settings(max_examples=200, deadline=None)
+    @given(dominant_bands(), st.booleans())
+    def test_increment_is_band_solve_then_norm(self, drawn, overflow):
+        """_increment gives the bits of gbtrs on -r and of the scaled max
+        norm (nan -> inf) after it, in one pass.  A finite increment whose
+        norm overflows (entries near 1e305 at scale 1e-4) is returned with
+        norm inf, not refused as non-finite."""
+        hb, ab, r = drawn
+        factors = _band_lu(_lu_storage(ab, hb), hb)
+        gbtrs = solver1d._lapack()[1]
+        scale = 1e-4 if overflow else 1e-2
+        if overflow:
+            x, _ = gbtrs(factors[0], hb, hb, -r, factors[1])
+            r = r * (1e305 / np.abs(x).max())
+        want, info = gbtrs(factors[0], hb, hb, -r, factors[1])
+        assert info == 0 and np.isfinite(want).all()
+        with np.errstate(over="ignore"):
+            norm = float((np.abs(want) / scale).max())
+        solver = _solver(hb, r.size, scale)
+        with np.errstate(over="ignore"):
+            x, dn = solver._increment(factors, r)
+            assert dn == solver._norm(want)
+        np.testing.assert_array_equal(x, want)
+        assert dn == (norm if norm < np.inf else np.inf)
+        if overflow:
+            assert dn == np.inf
 
     def test_singular_band_and_nan_rhs_fail(self):
         hb, n = 5, 20
@@ -496,8 +538,8 @@ class TestImplicitSolver:
         factors = _band_lu(_lu_storage(ab, hb), hb)
         b = np.ones(n)
         b[4] = np.nan
-        assert _band_solve(factors, hb, b) is None
-        assert _band_solve(factors, hb, np.ones(n)) is not None
+        assert _solver(hb, n)._increment(factors, b) is None
+        assert _solver(hb, n)._increment(factors, np.ones(n)) is not None
 
     @pytest.mark.parametrize("changed", [
         {}, {"nu": 3.0}, {"tau0": 1e-3}, {"gamma": 1e-6},
@@ -595,8 +637,8 @@ class TestImplicitSolver:
         monkeypatch.setattr(_Rhs, "__call__", counted("rhs", timed))
         monkeypatch.setattr(solver1d, "_band_lu",
                             counted("factor", solver1d._band_lu))
-        monkeypatch.setattr(solver1d, "_band_solve",
-                            counted("solve", solver1d._band_solve))
+        monkeypatch.setattr(_ImplicitStepper, "_increment",
+                            counted("solve", _ImplicitStepper._increment))
         config = replace(preset("experiment1"), t_end=0.5)
         assert config.integrator == "implicit_euler"
         setup = config.resolve()
@@ -623,7 +665,7 @@ class TestImplicitSolver:
                                  max_size=3))
         for i in bad:
             b[i] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
-        assert _band_solve(factors, hb, b) is None
+        assert _solver(hb, b.size)._increment(factors, b) is None
 
     def test_error_estimate_stop(self):
         stepper = _ImplicitStepper(_bar_rhs(8), "implicit_euler")
@@ -649,14 +691,14 @@ class TestImplicitSolver:
         from."""
         stepper, z, t, dt = self._stepped(name)
         stepper.lu = stepper._system_matrix(z, t, factor * dt)
-        band_solve, norms = solver1d._band_solve, []
+        increment, norms = _ImplicitStepper._increment, []
 
-        def recorded(factors, hb, b):
-            x = band_solve(factors, hb, b)
-            norms.append(np.inf if x is None else stepper._norm(x))
-            return x
+        def recorded(self, factors, r):
+            out = increment(self, factors, r)
+            norms.append(np.inf if out is None else out[1])
+            return out
 
-        monkeypatch.setattr(solver1d, "_band_solve", recorded)
+        monkeypatch.setattr(_ImplicitStepper, "_increment", recorded)
         fallbacks = stepper.fallbacks
         out = stepper._solve(z, t, dt)
         assert out is not None and stepper.fallbacks == fallbacks
@@ -682,6 +724,20 @@ class TestImplicitSolver:
         assert stepper.solves <= 6.5 * steps
         assert stepper.refreshes > 0
         assert max(refreshes_per_solve) == 1
+
+    def test_experiment1_work_counters(self):
+        """The stepper's work on the full experiment1 preset (17,143
+        implicit Euler steps), read off the run's Trajectory: it pins every
+        chord, refresh, Newton fallback and subdivision decision of the
+        run, so bookkeeping changes to the stepper must leave each of them
+        as it is."""
+        setup = preset("experiment1").resolve()
+        assert setup.integrator == "implicit_euler"
+        stepper = simulate(setup).stepper
+        names = ("nfe", "factorisations", "solves", "refreshes", "fallbacks",
+                 "subdivided")
+        assert [getattr(stepper, n) for n in names] == [83620, 1457, 65928,
+                                                         1034, 54, 7]
 
     def test_experiment2_work_counters(self):
         """The stepper's work on experiment2 to t = 1 ms (1,250 steps), read
