@@ -320,12 +320,13 @@ class SimConfig:
         and `sma run` all make it.  A slab config ignores the bar's fields,
         [phases] and [initial] among them.
 
-        The start state is checked, its tangent modulus by
-        solver1d.stable_dt among the rest, before the setup checks its own
-        times as it is built, and a full_1d RK4 run then checks its dt
-        against that stable step (a larger one could only overflow), so a
-        [time] error is reported only when every other check has
-        passed."""
+        The start state is checked before the setup checks its own times
+        as it is built.  Among those checks, the one call of
+        solver1d.stable_dt refuses a strain whose stress, tangent modulus
+        or stored energy overflows, and a full_1d RK4 run then checks its
+        dt against the stable step it returns (a larger one could only
+        overflow), so a [time] error is reported only when every other
+        check has passed."""
         for section, key, path in _schema(self.model):
             allowed = _KINDS[self.model].get(path)
             if allowed and _lookup(self, path) not in allowed:
@@ -373,10 +374,7 @@ class SimConfig:
         with _reraised("[material]"):
             case = self._mms_case() if self.needs_mms else None
         forcing = self._forcing(case)
-        state0 = self._initial_state(grid, case, forcing)
-        # stable_dt refuses a start whose tangent modulus is not finite
-        with _reraised("[initial]"):
-            bound = solver1d.stable_dt(state0, grid, self.material)
+        state0, bound = self._initial_state(grid, case, forcing)
         with _reraised("[time]"):
             setup = RunSetup(grid, self.material, self.bcs, forcing, state0,
                              self.dt, self.t_end, self.output_interval,
@@ -403,12 +401,15 @@ class SimConfig:
             _FORCING[fs.heat_kind](fs.heat_value, fs.heat_amplitude,
                                    fs.heat_rate, getattr(case, "heat", None)))
 
-    def _initial_state(self, grid: Grid1D, case, forcing) -> FieldState:
-        """The state at t = 0 on grid with the end values the boundary
-        conditions hold, and its theta_dot when tau0 > 0; ConfigError where
-        a field or the strain diff(u)/dx is not finite, theta or k is not
-        positive, or C_v - nu <eps_dot> is not positive (the tau0 = 0 heat
-        equation does not give theta_t there)."""
+    def _initial_state(self, grid: Grid1D, case, forcing):
+        """(state, bound): the state at t = 0 on grid with the end values
+        the boundary conditions hold, and its theta_dot when tau0 > 0, with
+        its RK4 stable step solver1d.stable_dt.  ConfigError where a field
+        is not finite at a node, theta or k is not positive, the strain
+        overflows (stable_dt's refusal, made once theta and k are known
+        positive and before the theta_t below evaluates the stress), or
+        C_v - nu <eps_dot> is not positive (the tau0 = 0 heat equation does
+        not give theta_t there)."""
         x = grid.nodes()
         ini = self.initial
         # a field that overflows is refused below, by name
@@ -421,12 +422,6 @@ class SimConfig:
             if not np.isfinite(getattr(state, name)).all():
                 raise ConfigError(f"[initial] {name} = {getattr(ini, key)} is "
                                   f"not finite at every node")
-        with np.errstate(over="ignore", invalid="ignore"):
-            strain = state.strain(grid)
-        if not np.isfinite(strain).all():
-            raise ConfigError(f"[initial] u = {ini.u_kind} gives a strain "
-                              f"diff(u)/dx that is not finite at every "
-                              f"midpoint")
         if not (state.theta > 0).all():
             raise ConfigError(
                 f"[initial] theta = {ini.theta_kind} falls to "
@@ -438,6 +433,10 @@ class SimConfig:
                 f"[material] conductivity k0 (1 + beta_tilde theta) falls to "
                 f"{k.min():g} at a node of the initial state; it must be "
                 f"positive")
+        # the one refusal of a strain that overflows, before anything below
+        # evaluates the stress of the start
+        with _reraised("[initial]"):
+            bound = solver1d.stable_dt(state, grid, self.material)
         consistent = (self.material.tau0 > 0
                       and ini.theta_dot_kind == "consistent")
         if self.material.nu != 0.0 or consistent:
@@ -453,7 +452,7 @@ class SimConfig:
         if self.material.tau0 > 0:
             state.theta_dot = (theta_t if consistent
                                else np.zeros_like(state.theta))
-        return state
+        return state, bound
 
 
 _DEFAULTS = SimConfig()

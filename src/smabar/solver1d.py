@@ -632,19 +632,26 @@ def stable_dt(state: FieldState, grid: Grid1D,
     part: dt <= 2.785 tau0 when the auxiliary theta_dot field is present.
     Note the full tangent modulus matters: near the martensite wells the
     quintic term dominates and the naive bound sqrt(k1 |theta - theta1|/rho)
-    badly underestimates the wave speed.  A tangent modulus that is not
-    finite at every midpoint (a strain so large that a power of it
-    overflows) is a ValueError: it bounds no step.
+    badly underestimates the wave speed.
+
+    A strain whose equilibrium stress, tangent modulus or stored energy
+    psi3(eps) is not finite at some midpoint (a strain that is not finite,
+    or so large that a power of it overflows) is a ValueError: the state
+    bounds no step and no run can start from it.  This is the bar's one
+    refusal of such a start; SimConfig.resolve makes it before anything
+    else evaluates the start's stress.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         eps = state.strain(grid)
         th_m = 0.5 * (state.theta[1:] + state.theta[:-1])
         sprime = (params.k1 * (th_m - params.theta1)
                   - 3.0 * params.k2 * eps ** 2 + 5.0 * params.k3 * eps ** 4)
-    if not np.isfinite(sprime).all():
-        raise ValueError("the tangent modulus k1 (theta - theta1) - "
-                         "3 k2 eps^2 + 5 k3 eps^4 of the state is not "
-                         "finite at every midpoint")
+        finite = np.isfinite((_equilibrium_stress(params, th_m, eps), sprime,
+                              strain_energy(params, eps))).all()
+    if not finite:
+        raise ValueError("the strain diff(u)/dx of the state gives a "
+                         "stress, tangent modulus or stored energy psi3 "
+                         "that is not finite at every midpoint")
     c2 = max(float(np.max(sprime)), 0.0) / params.rho
     dx = grid.dx
     bounds = []

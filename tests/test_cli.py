@@ -823,6 +823,12 @@ OUTSIDE_VALIDITY_IDS = [
 # a start where C_v - nu <eps_dot> is not positive, on experiment2
 NU_DEGENERATE = ["initial.v=sine", "initial.v_amplitude=5", "material.nu=50"]
 
+# the one message for a bar start whose strain overflows
+OVERFLOWING_STRAIN = (
+    "config error: [initial] the strain diff(u)/dx of the state gives a "
+    "stress, tangent modulus or stored energy psi3 that is not finite at "
+    "every midpoint")
+
 
 def _overridden_ini(run, overrides):
     """INI text of run (a preset name or "slab") with each section.key=value
@@ -1001,23 +1007,34 @@ class TestMain:
          "config error: [initial] theta = cosine is not finite at every "
          "node"),
         ("conservation", ["initial.u=sine", "initial.u_amplitude=1.7e308"],
-         "config error: [initial] u = sine gives a strain diff(u)/dx that "
-         "is not finite at every midpoint"),
-        *((run, ["initial.u=sine", "initial.u_amplitude=1e307",
-                 "time.t_end=0.001"],
-           "config error: [initial] the tangent modulus k1 (theta - theta1) "
-           "- 3 k2 eps^2 + 5 k3 eps^4 of the state is not finite at every "
-           "midpoint") for run in ("conservation", "experiment1")),
+         OVERFLOWING_STRAIN),
+        *((run, ["initial.u=sine", f"initial.u_amplitude={amplitude}",
+                 "time.t_end=0.001"], OVERFLOWING_STRAIN)
+          for run, amplitude in [("conservation", "1e307"),
+                                 ("experiment1", "1e307"),
+                                 ("experiment1", "1e62"),
+                                 ("conservation", "1e62"),
+                                 ("experiment1", "1e50")]),
+        ("conservation", ["material.nu=1", "initial.u=sine",
+                          "initial.u_amplitude=1e307", "time.t_end=0.001"],
+         OVERFLOWING_STRAIN),
+        ("conservation", ["material.k3=1e308", "initial.u=sine",
+                          "initial.u_amplitude=0.3", "time.t_end=0.001"],
+         OVERFLOWING_STRAIN),
     ], ids=["slab", "bar", "bar_strain", "bar_modulus_rk4",
-            "bar_modulus_implicit"])
+            "bar_modulus_implicit", "bar_stress_implicit", "bar_stress_rk4",
+            "bar_energy", "bar_strain_before_theta_t", "bar_k3_modulus"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_start_is_config_error(self, tmp_path, capsys, run,
                                               overrides, message):
-        """Finite parameters whose start field, strain or tangent modulus
-        overflows are refused by name before anything is written, not
-        stored as snapshot 0 or reported as a conductivity of nan, and
-        without a RuntimeWarning: a strain of 3e307 is finite, but its
-        powers in the modulus (and the stress) are not."""
+        """Finite parameters whose start field overflows, or whose strain
+        overflows its stress, tangent modulus or stored energy, are refused
+        by name before anything is written, not stored as snapshot 0,
+        reported as a [time] error or a conductivity of nan, and without a
+        RuntimeWarning: a strain of 3e62 is finite, but its fifth power in
+        the stress is not, and a strain of 3e50 overflows only psi3.  The
+        strain is refused before the theta_t of a nu != 0 start evaluates
+        its stress."""
         out = tmp_path / "o"
         argv = ["run", *_source(run, str(tmp_path)), "--out", str(out)]
         assert main(argv + [a for o in overrides
